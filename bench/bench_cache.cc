@@ -32,7 +32,7 @@
 #include "common/check.h"
 #include "core/bichromatic.h"
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 #include "sim/dissimilarity_matrix.h"
 
 namespace nmrs {
@@ -41,13 +41,14 @@ namespace {
 
 const std::vector<int> kCachePcts = {0, 5, 10, 25, 50};
 
-/// Workload 1: TRS batch through the QueryEngine, cache sizes x workers.
+/// Workload 1: TRS batch through the engine, cache sizes x workers.
 /// Returns whether rows stayed identical across all configurations.
 bool RunEngineBatch(const Dataset& data, const SimilaritySpace& space,
                     const std::vector<Object>& queries, JsonWriter* json) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
   const uint64_t dataset_pages = prepared->stored.num_pages();
   std::printf("TRS dataset pages: %llu\n",
               static_cast<unsigned long long>(dataset_pages));
@@ -70,11 +71,11 @@ bool RunEngineBatch(const Dataset& data, const SimilaritySpace& space,
           pct == 0 ? 0
                    : MemoryBudget::FromFraction(pct / 100.0, dataset_pages)
                          .pages;
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = workers;
       opts.rs = rs;
       opts.cache_pages = cache_pages;
-      QueryEngine engine(*prepared, space, Algorithm::kTRS, opts);
+      ShardedQueryEngine engine(one, space, Algorithm::kTRS, opts);
       auto batch = engine.RunBatch(queries);
       NMRS_CHECK(batch.ok()) << batch.status();
 

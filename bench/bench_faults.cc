@@ -34,7 +34,7 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 #include "sim/dissimilarity_matrix.h"
 
 namespace nmrs {
@@ -79,8 +79,9 @@ OverheadPoint RunOverheadConfig(const Workload& w, bool checksums,
   popts.checksum_pages = checksums;
   auto prepared = PrepareDataset(&disk, w.data, Algorithm::kSRS, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 1;  // single worker: wall clock measures the hot path
   opts.rs.memory = MemoryBudget::FromFraction(0.1, prepared->stored.num_pages());
   if (arm_injector) {
@@ -95,7 +96,7 @@ OverheadPoint RunOverheadConfig(const Workload& w, bool checksums,
   OverheadPoint point;
   point.best_wall = -1;
   for (int rep = 0; rep < reps; ++rep) {
-    QueryEngine engine(*prepared, w.space, Algorithm::kSRS, opts);
+    ShardedQueryEngine engine(one, w.space, Algorithm::kSRS, opts);
     auto batch = engine.RunBatch(w.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();
@@ -165,8 +166,9 @@ void RunRetryStorm(const Workload& w, JsonWriter* json) {
   popts.checksum_pages = true;
   auto prepared = PrepareDataset(&disk, w.data, Algorithm::kSRS, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   // One worker: the modeled makespan is then the deterministic sum of
   // per-query response times, so "inflation" below measures backoff, not
   // which worker happened to steal which query.
@@ -176,11 +178,10 @@ void RunRetryStorm(const Workload& w, JsonWriter* json) {
   base.max_query_retries = 1;  // clean-view replica read on exhaustion
 
   // Clean reference for row identity and makespan inflation.
-  BatchResult clean;
+  ShardedBatchResult clean;
   {
-    auto batch =
-        QueryEngine(*prepared, w.space, Algorithm::kSRS, base).RunBatch(
-            w.queries);
+    auto batch = ShardedQueryEngine(one, w.space, Algorithm::kSRS, base)
+                     .RunBatch(w.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();
     clean = std::move(*batch);
@@ -191,12 +192,11 @@ void RunRetryStorm(const Workload& w, JsonWriter* json) {
                "failed", "modeled_ms", "inflation"});
   const double storms[] = {1e-4, 1e-3, 1e-2};
   for (double p : storms) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.faults.seed = 1315;
     opts.faults.transient_read_p = p;
-    auto batch =
-        QueryEngine(*prepared, w.space, Algorithm::kSRS, opts).RunBatch(
-            w.queries);
+    auto batch = ShardedQueryEngine(one, w.space, Algorithm::kSRS, opts)
+                     .RunBatch(w.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
 
     double backoff_ms = 0;
@@ -214,7 +214,7 @@ void RunRetryStorm(const Workload& w, JsonWriter* json) {
     const double inflation =
         clean_makespan > 0 ? makespan / clean_makespan - 1.0 : 0.0;
     table.AddRow({Fmt(p, 4), std::to_string(batch->total_io.transient_retries),
-                  Fmt(backoff_ms, 2), std::to_string(batch->queries_retried),
+                  Fmt(backoff_ms, 2), std::to_string(batch->tasks_retried),
                   std::to_string(batch->num_failed()), Fmt(makespan, 2),
                   Fmt(inflation * 100, 1) + "%"});
 
@@ -223,7 +223,7 @@ void RunRetryStorm(const Workload& w, JsonWriter* json) {
     json->Field("transient_p", p);
     json->Field("num_rows", w.data.num_rows());
     json->Field("num_queries", static_cast<uint64_t>(w.queries.size()));
-    json->Field("queries_recovered", batch->queries_retried);
+    json->Field("queries_recovered", batch->tasks_retried);
     json->Field("queries_failed", static_cast<uint64_t>(batch->num_failed()));
     json->Field("modeled_backoff_millis", backoff_ms);
     json->Field("modeled_makespan_millis", makespan);
@@ -240,19 +240,19 @@ void RunFailover(const Workload& w, JsonWriter* json, bool* recovered_out) {
   popts.checksum_pages = true;
   auto prepared = PrepareDataset(&disk, w.data, Algorithm::kSRS, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   base.num_workers = 4;
   base.rs.memory =
       MemoryBudget::FromFraction(0.1, prepared->stored.num_pages());
   base.max_query_retries = 0;  // recovery must come from failover alone
 
   // Fault-free reference rows.
-  BatchResult clean;
+  ShardedBatchResult clean;
   {
-    auto batch =
-        QueryEngine(*prepared, w.space, Algorithm::kSRS, base).RunBatch(
-            w.queries);
+    auto batch = ShardedQueryEngine(one, w.space, Algorithm::kSRS, base)
+                     .RunBatch(w.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();
     clean = std::move(*batch);
@@ -269,7 +269,7 @@ void RunFailover(const Workload& w, JsonWriter* json, bool* recovered_out) {
                "modeled_ms", "rows_vs_clean"});
   *recovered_out = true;
   for (int n : {1, 2, 3}) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.rs.resilience.replicas = n;
     if (n == 1) {
       opts.faults = lossy;
@@ -277,9 +277,8 @@ void RunFailover(const Workload& w, JsonWriter* json, bool* recovered_out) {
       opts.replica_faults.assign(static_cast<size_t>(n), FaultConfig{});
       opts.replica_faults[0] = lossy;
     }
-    auto batch =
-        QueryEngine(*prepared, w.space, Algorithm::kSRS, opts).RunBatch(
-            w.queries);
+    auto batch = ShardedQueryEngine(one, w.space, Algorithm::kSRS, opts)
+                     .RunBatch(w.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
 
     bool rows_match = true;

@@ -19,8 +19,8 @@
 //    RSOptions::kernel_promote_rows values, the data behind the default
 //    threshold (docs/KERNELS.md).
 //
-// 4. "shared_scan" — a 16-query SRS batch on the QueryEngine, per-query
-//    execution vs QueryEngineOptions::shared_scan, compared on modeled
+// 4. "shared_scan" — a 16-query SRS batch on the engine, per-query
+//    execution vs EngineOptions::shared_scan, compared on modeled
 //    makespan (one worker, no cache, so the ratio is the IO the shared
 //    pass deduplicates). Per-query rows and counters must be
 //    bit-identical.
@@ -44,7 +44,7 @@
 #include "core/query_distance_table.h"
 #include "data/columnar_batch.h"
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 
 namespace nmrs {
 namespace bench {
@@ -344,7 +344,7 @@ struct SharedScanOutcome {
   double speedup = 0;
 };
 
-// Batch workload: Q SRS queries on the QueryEngine, per-query execution vs
+// Batch workload: Q SRS queries on the engine, per-query execution vs
 // one shared phase-1 scan per group. One worker and no cache, so modeled
 // makespan isolates exactly the IO the shared pass deduplicates — the same
 // comparison a multi-worker run would show per worker.
@@ -353,20 +353,21 @@ SharedScanOutcome RunSharedScan(const E2eInstance& inst, JsonWriter* json) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, inst.data, Algorithm::kSRS, {});
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 1;
   opts.rs.memory =
       MemoryBudget::FromFraction(0.10, prepared->stored.num_pages());
   opts.rs.use_kernels = true;
-  QueryEngine per_query(*prepared, inst.space, Algorithm::kSRS, opts);
+  ShardedQueryEngine per_query(one, inst.space, Algorithm::kSRS, opts);
   auto base = per_query.RunBatch(inst.queries);
   NMRS_CHECK(base.ok()) << base.status();
   NMRS_CHECK(base->ok()) << base->first_error();
 
   opts.shared_scan = true;
   opts.shared_scan_group = inst.queries.size();
-  QueryEngine shared(*prepared, inst.space, Algorithm::kSRS, opts);
+  ShardedQueryEngine shared(one, inst.space, Algorithm::kSRS, opts);
   auto batch = shared.RunBatch(inst.queries);
   NMRS_CHECK(batch.ok()) << batch.status();
   NMRS_CHECK(batch->ok()) << batch->first_error();
@@ -470,7 +471,7 @@ void Run(int argc, char** argv) {
     RunPromoteSweep(inst, args, &json);
   }
 
-  Banner("Batch shared scans (QueryEngine, SRS)");
+  Banner("Batch shared scans (SRS)");
   const SharedScanOutcome shared = RunSharedScan(inst, &json);
 
   ShapeCheck("kernel-results-identical", e2e.identical,

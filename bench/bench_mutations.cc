@@ -7,7 +7,7 @@
 //              pinned state;
 //   rebuild  — the cold oracle: append the same mutations to an in-memory
 //              Dataset, PrepareDataset from scratch, and run the batch on
-//              a standalone QueryEngine.
+//              a standalone engine over the unpartitioned dataset.
 //
 // The rebuild doubles as the correctness oracle: every query's row set
 // from the snapshot path is checked bit-identical to the rebuild's, and
@@ -147,7 +147,9 @@ void Run(int argc, char** argv) {
         PrepareDataset(&disk, merged, dbopts.algo, dbopts.prepare);
     const double reprep_ms = reprep_timer.ElapsedMillis();
     NMRS_CHECK(prepared.ok()) << prepared.status();
-    auto want = QueryEngine(*prepared, space, dbopts.algo, dbopts.engine)
+    const ShardedDataset one =
+        ShardedDataset::Partition(*prepared, {}).value();
+    auto want = ShardedQueryEngine(one, space, dbopts.algo, dbopts.engine)
                     .RunBatch(queries);
     NMRS_CHECK(want.ok()) << want.status();
     NMRS_CHECK(want->ok()) << want->first_error();

@@ -2,7 +2,8 @@
 // PreparedDataset, K users who each patch the shared dissimilarity
 // matrices with a sparse MatrixOverlay, a BRS batch answered two ways:
 //
-//   incremental — QueryEngine::RunOverlayBatch: one base run, one
+//   incremental — ShardedQueryEngine::RunOverlayBatch over the
+//                 unpartitioned dataset: one base run, one
 //                 classification pass splitting rows into
 //                 overlay-invariant vs overlay-sensitive, then grouped
 //                 re-check scans over only the sensitive rows;
@@ -27,7 +28,7 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
 
@@ -64,6 +65,7 @@ void Run(int argc, char** argv) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kBRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
   Table table({"users", "touch_pct", "sensitive_pct", "wall_ms",
                "modeled_ms", "rebuild_ms", "speedup", "identical"});
@@ -88,14 +90,14 @@ void Run(int argc, char** argv) {
       std::vector<const MatrixOverlay*> ptrs;
       for (const auto& o : overlays) ptrs.push_back(&o);
 
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = kWorkers;
       // Whole file resident after the first scan: the comparison is then
       // "one cold scan + sensitive-row re-checks" vs "K cold scans + K
       // full query batches", the multi-tenant contrast under test.
       opts.cache_pages = prepared->stored.num_pages() + 2;
 
-      auto ob = QueryEngine(*prepared, space, Algorithm::kBRS, opts)
+      auto ob = ShardedQueryEngine(one, space, Algorithm::kBRS, opts)
                     .RunOverlayBatch(queries, ptrs);
       NMRS_CHECK(ob.ok()) << ob.status();
       NMRS_CHECK(ob->ok()) << ob->first_error();
@@ -105,7 +107,7 @@ void Run(int argc, char** argv) {
       bool identical = true;
       for (size_t u = 0; u < users; ++u) {
         SimilaritySpace patched = overlays[u].BuildPatchedSpace();
-        auto rb = QueryEngine(*prepared, patched, Algorithm::kBRS, opts)
+        auto rb = ShardedQueryEngine(one, patched, Algorithm::kBRS, opts)
                       .RunBatch(queries);
         NMRS_CHECK(rb.ok()) << rb.status();
         NMRS_CHECK(rb->ok()) << rb->first_error();

@@ -14,7 +14,7 @@
 #include "bench_util.h"
 #include "common/check.h"
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 #include "sim/dissimilarity_matrix.h"
 
 namespace nmrs {
@@ -49,6 +49,7 @@ void Run(int argc, char** argv) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
   RSOptions rs;
   rs.memory =
@@ -63,10 +64,10 @@ void Run(int argc, char** argv) {
   double speedup_at_8 = 0;
   bool io_identical = true;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs = rs;
-    QueryEngine engine(*prepared, space, Algorithm::kTRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kTRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
 

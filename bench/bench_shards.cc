@@ -72,16 +72,16 @@ void Run(int argc, char** argv) {
     auto sharded = ShardedDataset::Partition(*prepared, plan);
     NMRS_CHECK(sharded.ok()) << sharded.status();
 
-    ShardedEngineOptions opts;
-    opts.engine.num_workers = kWorkers;
-    opts.engine.rs.memory =
+    EngineOptions opts;
+    opts.num_workers = kWorkers;
+    opts.rs.memory =
         MemoryBudget::FromFraction(0.05, prepared->stored.num_pages());
     // Every shard is one machine with a fixed-size page cache — a quarter
     // of the base dataset plus slack. One machine thrashes scanning the
     // whole file; four machines each hold their shard resident after the
     // first scan. Aggregate cache growing with the fleet is exactly the
     // scan-heavy scale-out win the gate checks.
-    opts.engine.cache_pages = prepared->stored.num_pages() / 4 + 2;
+    opts.cache_pages = prepared->stored.num_pages() / 4 + 2;
     ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();

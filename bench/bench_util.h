@@ -102,10 +102,9 @@ void EmitIoFields(JsonWriter* json, const IoStats& io);
 /// classification split (sensitive_rows / invariant_rows plus the derived
 /// sensitive_fraction) and the re-check work (recheck_scans /
 /// recheck_checks / recheck_pair_tests). The five counters mirror
-/// OverlayBatchResult / ShardedOverlayBatchResult field for field (both
-/// carry the same telemetry surface, so the emitter takes the counters
-/// rather than either struct); extending those structs means extending
-/// this emitter and the schema-pin test together. Zero for
+/// OverlayBatchResult field for field (the emitter takes the counters
+/// rather than the struct); extending that struct means extending this
+/// emitter and the schema-pin test together. Zero for
 /// non-overlay runs, keeping one schema across plain and overlay benches.
 void EmitOverlayFields(JsonWriter* json, uint64_t sensitive_rows,
                        uint64_t invariant_rows, uint64_t recheck_scans,

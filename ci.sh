@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI entry point, ten stages (docs/ROBUSTNESS.md covers asan/chaos/
+# CI entry point, eleven stages (docs/ROBUSTNESS.md covers asan/chaos/
 # replica, docs/KERNELS.md covers 6-7, docs/SHARDING.md covers 8,
 # docs/MUTABILITY.md covers 10):
 #   1. plain   — RelWithDebInfo build + full ctest suite
@@ -34,6 +34,9 @@
 #                the mutated dataset from scratch or the modeled query
 #                slowdown at a 1% delta exceeds 1.3x; plus an nmrs_cli
 #                serve smoke over a scripted mutation workload
+#  11. perfbench— perfbench/tests/test_bench.py builds the Database
+#                benchmark against the current src/ and runs its own
+#                checks, so an API change that breaks perfbench/ fails CI
 # Sanitizer builds are Debug so NMRS_DCHECKs are active, and only build
 # gtest-free targets to keep every instrumented frame inside nmrs code.
 set -euo pipefail
@@ -91,5 +94,8 @@ printf 'query 3,4,2\ninsert 3,4,2\ndelete 0\nquery 3,4,2\ncompact\nquery 3,4,2\n
   > "${SERVE_DIR}/workload.txt"
 ./build/tools/nmrs_cli serve --data="${SERVE_DIR}/data.csv" \
   --matrices="${SERVE_DIR}/m" --script="${SERVE_DIR}/workload.txt"
+
+echo "=== perfbench build + self-tests (perfbench/tests/test_bench.py) ==="
+python3 perfbench/tests/test_bench.py
 
 echo "ci: all ok"

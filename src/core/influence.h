@@ -40,18 +40,6 @@ StatusOr<InfluenceReport> AnalyzeInfluence(const PreparedDataset& prepared,
                                            Algorithm algo = Algorithm::kTRS,
                                            const RSOptions& opts = {});
 
-/// Multi-threaded variant for large query batches (one query per
-/// reverse-skyline run; queries are independent, so this is embarrassingly
-/// parallel). Each worker prepares its own copy of the dataset on a
-/// private SimulatedDisk — the simulator is deliberately not thread-safe,
-/// matching a real system where each worker owns its scan state. Results
-/// are identical to the serial variant. `threads` 0 means
-/// hardware_concurrency.
-StatusOr<InfluenceReport> AnalyzeInfluenceParallel(
-    const Dataset& data, const SimilaritySpace& space,
-    const std::vector<Object>& queries, Algorithm algo = Algorithm::kTRS,
-    const RSOptions& opts = {}, unsigned threads = 0);
-
 }  // namespace nmrs
 
 #endif  // NMRS_CORE_INFLUENCE_H_

@@ -47,7 +47,7 @@ struct RSOptions {
 
   /// Executor hosting the extra phase-1 threads (borrowed, not owned).
   /// When null and num_threads > 1, temporary std::threads are spawned.
-  /// The parallel QueryEngine points this at its own pool.
+  /// The batch engine (ShardedQueryEngine) points this at its own pool.
   TaskExecutor* executor = nullptr;
 
   /// Buffer-pool page caching (docs/CACHING.md). When `cache_pages` is true
@@ -56,7 +56,7 @@ struct RSOptions {
   /// misses are charged to the disk, with hit/miss/eviction counts folded
   /// into QueryStats::io. Reverse-skyline results are identical either way;
   /// only the IO charged changes. Default off = seed-identical IO. The pool
-  /// is borrowed (the QueryEngine owns one per batch) and must have been
+  /// is borrowed (the batch engine owns one per shard) and must have been
   /// built over this dataset's base disk.
   bool cache_pages = false;
   BufferPool* buffer_pool = nullptr;
@@ -72,7 +72,7 @@ struct RSOptions {
 
   /// Failover replicas of the frozen base files, in replica order (element
   /// r-1 serves replica r; the disk the algorithm runs over is replica 0).
-  /// Runtime handles, not policy: the QueryEngine fills these per query
+  /// Runtime handles, not policy: the batch engine fills these per query
   /// task from its ReplicaSet when resilience.replicas > 1. Only files with
   /// id < failover_limit fail over (scratch spills exist on the primary
   /// view only).

@@ -54,14 +54,7 @@ StatusOr<DbBatchResult> Snapshot::RunBatch(
   DbBatchResult out;
   {
     std::scoped_lock run_lock(state_->run_mu);
-    if (state_->engine != nullptr) {
-      NMRS_ASSIGN_OR_RETURN(BatchResult b, state_->engine->RunBatch(queries));
-      out.plain = std::move(b);
-    } else {
-      NMRS_ASSIGN_OR_RETURN(ShardedBatchResult b,
-                            state_->sharded_engine->RunBatch(queries));
-      out.sharded = std::move(b);
-    }
+    NMRS_ASSIGN_OR_RETURN(out.sharded, state_->engine->RunBatch(queries));
   }
   out.keys = TranslateKeys(out.results(), state_->keys);
   out.snapshot_generation = state_->generation;
@@ -82,16 +75,8 @@ StatusOr<DbOverlayBatchResult> Snapshot::RunOverlayBatch(
   DbOverlayBatchResult out;
   {
     std::scoped_lock run_lock(state_->run_mu);
-    if (state_->engine != nullptr) {
-      NMRS_ASSIGN_OR_RETURN(OverlayBatchResult b,
-                            state_->engine->RunOverlayBatch(queries, overlays));
-      out.plain = std::move(b);
-    } else {
-      NMRS_ASSIGN_OR_RETURN(
-          ShardedOverlayBatchResult b,
-          state_->sharded_engine->RunOverlayBatch(queries, overlays));
-      out.sharded = std::move(b);
-    }
+    NMRS_ASSIGN_OR_RETURN(out.plain,
+                          state_->engine->RunOverlayBatch(queries, overlays));
   }
   out.snapshot_generation = state_->generation;
   out.snapshot_version = state_->version;
@@ -102,8 +87,7 @@ StatusOr<DbQueryResult> Snapshot::Query(const Object& query) const {
   NMRS_ASSIGN_OR_RETURN(DbBatchResult batch, RunBatch({query}));
   NMRS_RETURN_IF_ERROR(batch.first_error());
   DbQueryResult out;
-  out.result = std::move(batch.plain ? batch.plain->results[0]
-                                     : batch.sharded->results[0]);
+  out.result = std::move(batch.sharded->results[0]);
   out.keys = std::move(batch.keys[0]);
   out.snapshot_generation = batch.snapshot_generation;
   out.snapshot_version = batch.snapshot_version;
@@ -126,6 +110,19 @@ StatusOr<std::unique_ptr<Database>> Database::Open(const Dataset& base,
   NMRS_RETURN_IF_ERROR(base.Validate());
   if (opts.num_shards < 1) {
     return Status::InvalidArgument("DatabaseOptions::num_shards must be >= 1");
+  }
+  // The engine constructor insists on a representable replica count and on
+  // one fault config per replica; reject violations here as a Status.
+  NMRS_RETURN_IF_ERROR(opts.engine.rs.resilience.Validate());
+  const size_t replicas =
+      static_cast<size_t>(opts.engine.rs.resilience.replicas);
+  if (!opts.engine.replica_faults.empty() &&
+      opts.engine.replica_faults.size() != replicas) {
+    return Status::InvalidArgument(
+        "EngineOptions::replica_faults has " +
+        std::to_string(opts.engine.replica_faults.size()) +
+        " configs for " + std::to_string(replicas) +
+        " replicas; it must be empty or cover every replica");
   }
   std::unique_ptr<Database> db(
       new Database(space, std::move(opts), base.schema()));
@@ -152,7 +149,7 @@ Status Database::InitGen0(const Dataset& base) {
   std::iota(st->keys.begin(), st->keys.end(), 0);
   st->key_to_row.reserve(n);
   for (RowId r = 0; r < n; ++r) st->key_to_row.emplace(r, r);
-  NMRS_RETURN_IF_ERROR(BuildEngines(st.get()));
+  NMRS_RETURN_IF_ERROR(BuildEngine(st.get()));
 
   gen_ = std::move(st);
   delta_ = std::make_shared<DeltaSegment>(schema_);
@@ -164,19 +161,14 @@ Status Database::InitGen0(const Dataset& base) {
   return Status::OK();
 }
 
-Status Database::BuildEngines(State* st) {
-  if (opts_.num_shards > 1) {
-    ShardPlanOptions plan = opts_.shard_plan;
-    plan.num_shards = opts_.num_shards;
-    NMRS_ASSIGN_OR_RETURN(ShardedDataset sharded,
-                          ShardedDataset::Partition(*st->prepared, plan));
-    st->sharded = std::make_unique<ShardedDataset>(std::move(sharded));
-    st->sharded_engine = std::make_unique<ShardedQueryEngine>(
-        *st->sharded, *space_, opts_.algo, opts_.engine);
-  } else {
-    st->engine = std::make_unique<QueryEngine>(*st->prepared, *space_,
-                                               opts_.algo, opts_.engine);
-  }
+Status Database::BuildEngine(State* st) {
+  ShardPlanOptions plan = opts_.shard_plan;
+  plan.num_shards = opts_.num_shards;
+  NMRS_ASSIGN_OR_RETURN(ShardedDataset sharded,
+                        ShardedDataset::Partition(*st->prepared, plan));
+  st->sharded = std::make_unique<ShardedDataset>(std::move(sharded));
+  st->engine = std::make_unique<ShardedQueryEngine>(*st->sharded, *space_,
+                                                    opts_.algo, opts_.engine);
   return Status::OK();
 }
 
@@ -453,7 +445,7 @@ StatusOr<std::shared_ptr<Database::State>> Database::Materialize(
   st->key_to_row.reserve(total_rows);
   for (RowId r = 0; r < total_rows; ++r) st->key_to_row.emplace(st->keys[r], r);
   st->build_io = st->disk->stats();
-  NMRS_RETURN_IF_ERROR(BuildEngines(st.get()));
+  NMRS_RETURN_IF_ERROR(BuildEngine(st.get()));
   st->build_millis = timer.ElapsedMillis();
   return st;
 }

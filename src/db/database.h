@@ -15,7 +15,6 @@
 #include "data/dataset.h"
 #include "data/delta_segment.h"
 #include "exec/engine_options.h"
-#include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "shard/shard_plan.h"
 #include "sim/similarity_space.h"
@@ -27,10 +26,8 @@ class Database;
 
 /// Everything that shapes a Database: the algorithm and its preparation
 /// knobs, the full executor vocabulary (workers, caches, faults, replicas,
-/// shared scans, overlays, network model), and the sharding layout. One
-/// struct instead of the historical loose QueryEngine / ShardedQueryEngine
-/// / overlay wiring — the front door threads it through every snapshot's
-/// engine unchanged.
+/// shared scans, overlays, network model), and the sharding layout — the
+/// front door threads it through every snapshot's engine unchanged.
 struct DatabaseOptions {
   Algorithm algo = Algorithm::kBRS;
 
@@ -40,12 +37,12 @@ struct DatabaseOptions {
   /// agree byte for byte.
   PrepareOptions prepare;
 
-  /// Executor options applied to every snapshot's engine (single-shard or
-  /// sharded; `engine.net` feeds the sharded pruner exchange).
+  /// Executor options applied to every snapshot's engine (`engine.net`
+  /// feeds the pruner exchange when num_shards > 1).
   EngineOptions engine;
 
-  /// > 1 routes batches through ShardedQueryEngine over a per-snapshot
-  /// Partition; 1 = single-shard QueryEngine.
+  /// Shards of every snapshot's Partition. 1 = the single shard aliases
+  /// the snapshot's file (no partitioning IO, no exchange).
   int num_shards = 1;
 
   /// Partitioning layout when num_shards > 1 (its own num_shards field is
@@ -97,9 +94,8 @@ struct SnapshotState {
   std::vector<uint64_t> keys;                 // keys[RowId] -> stable key
   std::unordered_map<uint64_t, RowId> key_to_row;
 
-  std::unique_ptr<ShardedDataset> sharded;              // num_shards > 1
-  std::unique_ptr<QueryEngine> engine;                  // num_shards == 1
-  std::unique_ptr<ShardedQueryEngine> sharded_engine;   // num_shards > 1
+  std::unique_ptr<ShardedDataset> sharded;  // stable address for engine
+  std::unique_ptr<ShardedQueryEngine> engine;
 
   IoStats build_io;
   double build_millis = 0;
@@ -124,13 +120,12 @@ struct DbQueryResult {
   DeltaVersion snapshot_version;
 };
 
-/// Outcome of one batch through the front door. Exactly one of `plain` /
-/// `sharded` is set (by DatabaseOptions::num_shards); the underlying
-/// engine result is kept whole so existing consumers (the CLI printers,
-/// benches) see unchanged fields, with the key translation and snapshot
-/// pin layered on top.
+/// Outcome of one batch through the front door: the engine result, kept
+/// whole in `sharded` so consumers see every engine field, with the key
+/// translation and snapshot pin layered on top. `sharded` is always set;
+/// it stays a std::optional for consumers that test and dereference it
+/// (perfbench/bench.cc).
 struct DbBatchResult {
-  std::optional<BatchResult> plain;
   std::optional<ShardedBatchResult> sharded;
 
   /// keys[q] translates results()[q].rows to stable keys.
@@ -141,52 +136,36 @@ struct DbBatchResult {
   uint64_t snapshot_rows = 0;
 
   const std::vector<ReverseSkylineResult>& results() const {
-    return plain ? plain->results : sharded->results;
+    return sharded->results;
   }
-  const std::vector<Status>& statuses() const {
-    return plain ? plain->statuses : sharded->statuses;
-  }
-  bool ok() const { return plain ? plain->ok() : sharded->ok(); }
-  Status first_error() const {
-    return plain ? plain->first_error() : sharded->first_error();
-  }
-  size_t num_failed() const {
-    return plain ? plain->num_failed() : sharded->num_failed();
-  }
-  const IoStats& total_io() const {
-    return plain ? plain->total_io : sharded->total_io;
-  }
-  double wall_millis() const {
-    return plain ? plain->wall_millis : sharded->wall_millis;
-  }
+  const std::vector<Status>& statuses() const { return sharded->statuses; }
+  bool ok() const { return sharded->ok(); }
+  Status first_error() const { return sharded->first_error(); }
+  size_t num_failed() const { return sharded->num_failed(); }
+  const IoStats& total_io() const { return sharded->total_io; }
+  double wall_millis() const { return sharded->wall_millis; }
   double ModeledMakespanMillis() const {
-    return plain ? plain->ModeledMakespanMillis()
-                 : sharded->ModeledMakespanMillis();
+    return sharded->ModeledMakespanMillis();
   }
-  double ModeledQps() const {
-    return plain ? plain->ModeledQps() : sharded->ModeledQps();
-  }
+  double ModeledQps() const { return sharded->ModeledQps(); }
 };
 
 /// Outcome of one overlay batch through the front door (docs/OVERLAYS.md):
-/// queries answered for every overlay user over the pinned snapshot.
+/// queries answered for every overlay user over the pinned snapshot. The
+/// engine result is `plain`, always set (an optional for the same reason
+/// as DbBatchResult::sharded).
 struct DbOverlayBatchResult {
   std::optional<OverlayBatchResult> plain;
-  std::optional<ShardedOverlayBatchResult> sharded;
 
   uint64_t snapshot_generation = 0;
   DeltaVersion snapshot_version;
 
   const std::vector<std::vector<ReverseSkylineResult>>& results() const {
-    return plain ? plain->results : sharded->results;
+    return plain->results;
   }
-  const std::vector<Status>& statuses() const {
-    return plain ? plain->statuses : sharded->statuses;
-  }
-  bool ok() const { return plain ? plain->ok() : sharded->ok(); }
-  Status first_error() const {
-    return plain ? plain->first_error() : sharded->first_error();
-  }
+  const std::vector<Status>& statuses() const { return plain->statuses; }
+  bool ok() const { return plain->ok(); }
+  Status first_error() const { return plain->first_error(); }
 };
 
 /// An epoch-pinned, immutable view of the database: base generation plus a
@@ -219,14 +198,11 @@ class Snapshot {
   double build_millis() const { return state_->build_millis; }
   const IoStats& build_io() const { return state_->build_io; }
 
-  /// The pinned state's executor — exactly one is non-null, decided by
-  /// DatabaseOptions::num_shards. Telemetry access (worker counts, buffer
-  /// pool stats) for CLI and bench consumers; running queries still goes
-  /// through RunBatch / Query so the per-state run lock is honored.
-  const QueryEngine* engine() const { return state_->engine.get(); }
-  const ShardedQueryEngine* sharded_engine() const {
-    return state_->sharded_engine.get();
-  }
+  /// The pinned state's executor. Telemetry access (worker and shard
+  /// counts, buffer pool stats) for CLI and bench consumers; running
+  /// queries still goes through RunBatch / Query so the per-state run lock
+  /// is honored.
+  const ShardedQueryEngine& engine() const { return *state_->engine; }
 
   /// Runs a batch over the pinned state. Thread-safe: concurrent calls on
   /// the same snapshot serialize; calls on different snapshots run
@@ -258,8 +234,7 @@ struct RecoveredDatabase {
 
 /// The mutable-dataset front door (docs/MUTABILITY.md): one handle that
 /// owns the WAL, the in-memory delta segment, the current base generation,
-/// and the engine wiring, superseding the loose QueryEngine /
-/// ShardedQueryEngine / overlay entry points for online serving.
+/// and the engine wiring for online serving.
 ///
 ///   Open      — prepare the initial generation from an in-memory Dataset
 ///   Insert    — append a row (WAL first, then the concurrent-reader delta)
@@ -386,8 +361,8 @@ class Database {
                                                DeltaVersion version_label,
                                                const std::string& file_label);
 
-  /// Builds the engine (and shard partition) over st->prepared.
-  Status BuildEngines(State* st);
+  /// Builds the shard partition and the engine over st->prepared.
+  Status BuildEngine(State* st);
 
   /// WAL + delta + key-map insert with a fixed key (mutation path shared
   /// by Insert and WAL replay). Caller validated; takes mu_.

@@ -11,15 +11,10 @@
 
 namespace nmrs {
 
-/// One options vocabulary for every executor — QueryEngine,
-/// ShardedQueryEngine and the Database front door all consume this struct,
-/// so the worker / cache / fault / replica / shared-scan / overlay knobs
-/// cannot drift apart between entry points (they did once: the sharded
-/// engine duplicated every field behind a nested `engine` member).
-///
-/// Field semantics are unchanged from the historical QueryEngineOptions;
-/// `net` is the one sharded-only addition (single-shard executors ignore
-/// it).
+/// The executor's options: ShardedQueryEngine and the Database front door
+/// both consume this struct, so the worker / cache / fault / replica /
+/// shared-scan / overlay knobs have one spelling everywhere. `net` only
+/// matters with more than one shard (a single shard runs no exchange).
 struct EngineOptions {
   /// Worker threads (0 = std::thread::hardware_concurrency()).
   size_t num_workers = 0;
@@ -30,9 +25,8 @@ struct EngineOptions {
   RSOptions rs;
 
   /// Shared page-cache capacity in pages; 0 = no cache (seed-identical
-  /// IO). When > 0 the engine owns one BufferPool over the frozen base
-  /// disk (one per shard for the sharded engine), shared by all workers.
-  /// See docs/CACHING.md.
+  /// IO). When > 0 the engine owns one BufferPool per shard over the
+  /// frozen base disk, shared by all workers. See docs/CACHING.md.
   uint64_t cache_pages = 0;
 
   /// Deterministic storage fault injection (docs/ROBUSTNESS.md). When
@@ -50,12 +44,6 @@ struct EngineOptions {
   /// when non-empty (size must then equal rs.resilience.replicas; a
   /// disabled entry leaves that replica clean).
   std::vector<FaultConfig> replica_faults;
-
-  /// Legacy error semantics: when true, RunBatch returns the first
-  /// per-query error as a bare error status (after the whole batch has
-  /// run), discarding the batch result. Default false = graceful
-  /// degradation with per-query statuses.
-  bool fail_fast = false;
 
   /// Extra attempts for a query whose run failed with a storage-fault
   /// status: the query is re-run on a clean view — no fault wrapper —
@@ -75,28 +63,8 @@ struct EngineOptions {
   size_t overlay_group = 16;
 
   /// Network cost model of the cross-shard pruner exchange
-  /// (docs/SHARDING.md). Consumed by the sharded engine and by Database
-  /// when num_shards > 1; the single-shard QueryEngine ignores it.
+  /// (docs/SHARDING.md); unused with one shard.
   MessageCostModel net;
-};
-
-/// Deprecation shim: the historical name for the single-shard executor's
-/// options. New code should spell EngineOptions.
-using QueryEngineOptions = EngineOptions;
-
-/// Deprecation shim for call sites that built the sharded executor's
-/// nested options struct (`sopts.engine.rs = ...; sopts.net = ...`).
-/// ShardedQueryEngine accepts this alongside EngineOptions and flattens it;
-/// new code should fill EngineOptions (which carries `net`) directly.
-struct ShardedEngineOptions {
-  EngineOptions engine;
-  MessageCostModel net;
-
-  EngineOptions Flatten() const {
-    EngineOptions flat = engine;
-    flat.net = net;
-    return flat;
-  }
 };
 
 }  // namespace nmrs

@@ -16,6 +16,21 @@
 
 namespace nmrs {
 
+bool BatchStatuses::ok() const { return first_error().ok(); }
+
+Status BatchStatuses::first_error() const {
+  for (const Status& s : statuses) {
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+size_t BatchStatuses::num_failed() const {
+  size_t n = 0;
+  for (const Status& s : statuses) n += s.ok() ? 0 : 1;
+  return n;
+}
+
 double ShardedBatchResult::ModeledMakespanMillis() const {
   double busiest = 0;
   for (size_t s = 0; s < shard_worker_modeled_millis.size(); ++s) {
@@ -38,7 +53,7 @@ double ShardedBatchResult::ModeledQps() const {
   return static_cast<double>(results.size()) / (makespan / 1000.0);
 }
 
-double ShardedOverlayBatchResult::ModeledMakespanMillis() const {
+double OverlayBatchResult::ModeledMakespanMillis() const {
   double overlay = 0;
   for (double w : overlay_worker_modeled_millis) {
     overlay = std::max(overlay, w);
@@ -46,7 +61,7 @@ double ShardedOverlayBatchResult::ModeledMakespanMillis() const {
   return base.ModeledMakespanMillis() + overlay;
 }
 
-double ShardedOverlayBatchResult::ModeledQps() const {
+double OverlayBatchResult::ModeledQps() const {
   const double makespan = ModeledMakespanMillis();
   if (makespan <= 0) return 0;
   double answers = 0;
@@ -109,6 +124,10 @@ ShardedQueryEngine::ShardedQueryEngine(const ShardedDataset& sharded,
 
 StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
     const std::vector<Object>& queries) {
+  // Reject out-of-range policies up front instead of bending them: the
+  // constructor clamps replicas to build a usable ReplicaSet, but running
+  // a batch under a policy the accounting cannot represent would silently
+  // drop replica reads (see ResiliencePolicy::Validate).
   NMRS_RETURN_IF_ERROR(opts_.rs.resilience.Validate());
 
   const size_t num_queries = queries.size();
@@ -121,7 +140,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   // Shards that participate: empty shards have no rows to prune with and no
   // candidates to offer, so they are excluded from scatter, exchange and
   // verify. With one shard the (possibly empty) shard always runs — that
-  // path must reproduce the plain engine exactly.
+  // path must reproduce a sequential run exactly.
   std::vector<int> active;
   for (int s = 0; s < S; ++s) {
     if (S == 1 || sharded_->shard_rows(s) > 0) active.push_back(s);
@@ -155,7 +174,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   };
 
   // Per-(query, shard) scatter outputs; each slot is touched by exactly one
-  // task, like BatchResult::results in the plain engine.
+  // task.
   std::vector<std::vector<ReverseSkylineResult>> local(num_queries);
   std::vector<std::vector<Status>> local_status(
       num_queries, std::vector<Status>(static_cast<size_t>(S), Status::OK()));
@@ -167,8 +186,11 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
     for (int s = 0; s < S; ++s) cand[q].emplace_back(m, numerics);
   }
 
-  // Builds the per-task RSOptions the way QueryEngine does: shared cache,
-  // checksum implication, batch-local quarantine, intra-query threads.
+  // Builds the per-task RSOptions: shared cache, intra-query threads,
+  // checksum implication (a checksummed dataset implies verification —
+  // sealing pages and then not checking them would waste the footer) and
+  // the batch-local quarantine log (a caller-supplied log gets the batch's
+  // findings folded in after the join).
   auto make_rs = [&](int s) {
     RSOptions rs = opts_.rs;
     if (rs.num_threads > 1 && rs.executor == nullptr) rs.executor = &pool_;
@@ -189,6 +211,13 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   // ---- Scatter: every (query, active shard) runs the full algorithm over
   // the shard's local rows, then serializes its surviving candidates for
   // the exchange. ----
+  // Cross-query scan sharing applies when nothing couples a query to its
+  // own private disk wrapper: no fault injection (a shared fetch must be
+  // clean for everyone), no replica failover (failover views are per query
+  // task), and a BRS/SRS plan (the shared pass implements their phase 1).
+  // Groups are formed by query index, so membership — and therefore every
+  // per-query result and the batch totals — is independent of worker count
+  // and work-stealing order.
   const bool shared_eligible =
       opts_.shared_scan && !replica_sets_[0]->faulted() &&
       replica_sets_[0]->num_replicas() == 1 &&
@@ -255,6 +284,8 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
                                      std::memory_order_relaxed);
             shared_groups.fetch_add(1, std::memory_order_relaxed);
           } else {
+            // The whole group dies together (the shared pass is one run);
+            // charge its partial IO to the batch, unattributed per query.
             for (size_t q = lo; q < hi; ++q) {
               local_status[q][s] = res.status();
             }
@@ -283,10 +314,20 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
           ReplicaSet& rset = *replica_sets_[s];
           const int num_replicas = rset.num_replicas();
           DiskView* view = rset.view(w, 0);
+          // With fault injection on, this task reads through its own
+          // FaultyDisk per replica whose stream is fixed by (query, shard),
+          // not by which worker runs it. The fault ceiling restricts
+          // injection to the frozen base and shard files: scratch-file ids
+          // are assigned in execution order, so faulting them would
+          // reintroduce a scheduling dependence.
           std::vector<std::unique_ptr<FaultyDisk>> wrappers;
           std::vector<SimulatedDisk*> disks =
               rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
           SimulatedDisk* qdisk = disks[0];
+          // Failover replica views persist across the tasks this worker
+          // runs, so reset their disk arms: within a task the failover read
+          // sequence is then fixed, making its seq/rand IO split independent
+          // of which tasks ran earlier on this worker.
           for (int r = 1; r < num_replicas; ++r) {
             rset.view(w, r)->InvalidateArmPosition();
           }
@@ -299,14 +340,20 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
 
           const StoredDataset& shard = sharded_->shard(s);
           const int attempts = 1 + std::max(0, opts_.max_query_retries);
+          // Placeholder only: the loop below always runs an attempt.
           StatusOr<ReverseSkylineResult> result =
               Status::Internal("shard task never ran");
           for (int attempt = 0; attempt < attempts; ++attempt) {
+            // Retries re-run on the clean view: no fault wrapper, and no
+            // failover disks either (the clean view cannot fail).
             SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
             if (attempt == 1) {
               rs.failover_disks.clear();
               rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
             }
+            // Re-wrap the shard over this attempt's disk: the file id and
+            // layout are the base disk's, the IO accounting (and any
+            // injected faults) are this disk's.
             PreparedDataset shard_prep{
                 StoredDataset(attempt_disk, shard.file(), shard.schema(),
                               shard.num_rows(), shard.checksum_pages()),
@@ -339,6 +386,10 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
               if (attempt > 0) retried.fetch_add(1, std::memory_order_relaxed);
               break;
             }
+            // Keep the dead run's partial IO (worker-wide: failover reads
+            // landed on this worker's other replica views too). A later
+            // successful attempt overwrites it, so a recovered task reports
+            // the stats of the attempt that produced the answer.
             ReverseSkylineResult partial;
             partial.stats.io = rset.WorkerStats(w) - before;
             local[q][s] = std::move(partial);
@@ -559,10 +610,6 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
     batch.total_messages += b.messages;
   }
 
-  if (opts_.fail_fast) {
-    Status first = batch.first_error();
-    if (!first.ok()) return first;
-  }
   batch.total_io = total_io.Snapshot();
   batch.wall_millis = timer.ElapsedMillis();
   batch.tasks_retried = retried.load(std::memory_order_relaxed);
@@ -575,7 +622,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   return batch;
 }
 
-StatusOr<ShardedOverlayBatchResult> ShardedQueryEngine::RunOverlayBatch(
+StatusOr<OverlayBatchResult> ShardedQueryEngine::RunOverlayBatch(
     const std::vector<Object>& queries,
     const std::vector<const MatrixOverlay*>& overlays) {
   NMRS_RETURN_IF_ERROR(opts_.rs.resilience.Validate());
@@ -598,7 +645,7 @@ StatusOr<ShardedOverlayBatchResult> ShardedQueryEngine::RunOverlayBatch(
   }
 
   Timer timer;
-  ShardedOverlayBatchResult out;
+  OverlayBatchResult out;
   out.results.resize(queries.size());
   for (auto& per_user : out.results) per_user.resize(overlays.size());
   out.statuses.assign(queries.size(), Status::OK());

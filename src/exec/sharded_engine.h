@@ -13,7 +13,6 @@
 #include "core/query.h"
 #include "data/object.h"
 #include "exec/engine_options.h"
-#include "exec/query_engine.h"
 #include "exec/thread_pool.h"
 #include "shard/message_stats.h"
 #include "shard/shard_plan.h"
@@ -23,12 +22,25 @@
 
 namespace nmrs {
 
-// The sharded executor consumes the same EngineOptions as QueryEngine
-// (exec/engine_options.h): every shard is modeled as one machine with
-// `num_workers` workers, `rs.memory` pages of working memory, its own
-// `cache_pages` page cache, and — with resilience.replicas > 1 — its own
-// replica set; `net` is the network cost model of the pruner exchange.
-// ShardedEngineOptions (same header) is the deprecated nested form.
+// The engine consumes EngineOptions (exec/engine_options.h): every shard
+// is modeled as one machine with `num_workers` workers, `rs.memory` pages
+// of working memory, its own `cache_pages` page cache, and — with
+// resilience.replicas > 1 — its own replica set; `net` is the network cost
+// model of the pruner exchange.
+
+/// Per-query outcomes of a batch: statuses[i] is the outcome of queries[i].
+/// A failed query leaves the rest of the batch intact (graceful
+/// degradation); callers that want all-or-nothing semantics return
+/// first_error() themselves.
+struct BatchStatuses {
+  std::vector<Status> statuses;
+
+  /// True iff every query succeeded.
+  bool ok() const;
+  /// The lowest-index failure, or OK if none.
+  Status first_error() const;
+  size_t num_failed() const;
+};
 
 /// Per-query sharding telemetry.
 struct ShardQueryBreakdown {
@@ -39,56 +51,63 @@ struct ShardQueryBreakdown {
   MessageStats messages;
 };
 
-/// Outcome of one ShardedQueryEngine::RunBatch, mirroring BatchResult with
-/// per-(shard, worker) modeled time and the exchange ledger added.
-struct ShardedBatchResult {
-  /// results[i] answers queries[i]: rows are bit-identical to single-shard
-  /// execution for every shard count; stats are the sum over the query's
-  /// per-shard local runs, export scans and verify passes (deterministic
-  /// for a fixed shard count, but shard-count-dependent — see
-  /// docs/SHARDING.md).
+/// Outcome of one ShardedQueryEngine::RunBatch.
+struct ShardedBatchResult : BatchStatuses {
+  /// results[i] answers queries[i]: rows are bit-identical to a sequential
+  /// RunReverseSkyline of that query for every shard count. With one shard
+  /// and no cache, per-query stats are identical to the sequential run's
+  /// too; with more shards they are the sum over the query's per-shard
+  /// local runs, export scans and verify passes (deterministic for a fixed
+  /// shard count, but shard-count-dependent — see docs/SHARDING.md). With
+  /// a shared cache (cache_pages > 0) which query gets charged a miss
+  /// depends on who touched the page first, so per-query IO becomes
+  /// interleaving-dependent; only aggregate invariants survive (see
+  /// docs/CACHING.md). A failed query holds no rows but still carries the
+  /// partial IO it charged before dying (folded into total_io too).
   std::vector<ReverseSkylineResult> results;
-  std::vector<Status> statuses;
   std::vector<ShardQueryBreakdown> breakdown;
 
-  bool ok() const {
-    for (const Status& s : statuses) {
-      if (!s.ok()) return false;
-    }
-    return true;
-  }
-  Status first_error() const {
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-  size_t num_failed() const {
-    size_t n = 0;
-    for (const Status& s : statuses) n += s.ok() ? 0 : 1;
-    return n;
-  }
-
   /// (query, shard) tasks that failed a faulty run and succeeded on a
-  /// clean-view re-run (QueryEngineOptions::max_query_retries).
+  /// clean-view re-run (EngineOptions::max_query_retries). With one shard
+  /// this counts recovered queries.
   uint64_t tasks_retried = 0;
 
-  /// Shared-scan counters, as in BatchResult but per (group, shard) pass.
+  /// Shared-scan execution counters (EngineOptions::shared_scan; all zero
+  /// when it is off or the batch fell back to per-query runs).
+  /// `shared_scan_groups` = (query group, shard) phase-1 passes;
+  /// `shared_scan_batches` = memory-sized batches those passes loaded (each
+  /// feeding every query of its group); `shared_io` = the shared passes'
+  /// page IO, reported here once instead of Q times in per-query stats,
+  /// and included in total_io. Under shared scans per-query QueryStats::io
+  /// covers only that query's own scratch spills, phase-2 scan and exchange
+  /// work, so sum(results[i].stats.io) + shared_io == total_io.
   uint64_t shared_scan_groups = 0;
   uint64_t shared_scan_batches = 0;
   IoStats shared_io;
 
+  /// Pages any query in this batch gave up on (kDataLoss / kCorruption),
+  /// sorted — the batch's quarantine set.
   std::vector<std::pair<FileId, PageId>> quarantined;
+
+  /// Aggregate page IO over all queries (equals the sum of
+  /// results[i].stats.io plus shared_io). Without a cache it is
+  /// independent of worker count and scheduling. With a cache, total
+  /// reads+writes stay worker-count-invariant as long as the pool never
+  /// evicts (misses = distinct pages, single-flight); under eviction
+  /// pressure the totals depend on the interleaving, as on real hardware.
   IoStats total_io;
 
   /// Exchange traffic summed over all queries.
   MessageStats total_messages;
 
+  /// Host wall-clock time of the batch.
   double wall_millis = 0;
 
-  /// modeled[s][w]: modeled busy time of worker w on shard s. Each shard is
-  /// one machine whose workers own private DiskViews of the shard replica
-  /// set, so all S x W (shard, worker) lanes overlap.
+  /// modeled[s][w]: modeled busy time (the sum of QueryStats::ResponseMillis
+  /// — compute + modeled disk latency — of the tasks it ran) of worker w on
+  /// shard s. Each shard is one machine whose workers own private DiskViews
+  /// of the shard replica set, so all S x W (shard, worker) lanes overlap.
+  /// Failed tasks charge their partial time too: they occupied the spindle.
   std::vector<std::vector<double>> shard_worker_modeled_millis;
 
   /// Largest single modeled task (one query's scatter run or verify pass)
@@ -110,39 +129,35 @@ struct ShardedBatchResult {
   /// host pool happened to interleave tasks (the raw lanes stay available
   /// as telemetry). Shards overlap; the exchange is modeled as serialized
   /// through the gather coordinator (a deliberately conservative model —
-  /// see docs/SHARDING.md).
+  /// see docs/SHARDING.md). docs/PARALLELISM.md states the model.
   double ModeledMakespanMillis() const;
+  /// Queries per modeled second: results.size() / makespan.
   double ModeledQps() const;
 };
 
 /// Outcome of one ShardedQueryEngine::RunOverlayBatch: Q queries answered
-/// for K overlay users via one sharded base run per query plus incremental
-/// re-pruning over the base dataset (docs/OVERLAYS.md). Mirrors
-/// OverlayBatchResult with the sharded base batch inside.
-struct ShardedOverlayBatchResult {
-  /// results[q][u]: rows bit-identical to a per-user patched-space rebuild
-  /// run through the same sharded engine (which is itself bit-identical to
-  /// single-shard execution). Per-(q,u) stats carry only result_size; the
-  /// shared phases are reported once below.
+/// for K overlay users via one base-space run per query plus incremental
+/// re-pruning of the overlay-sensitive candidates (docs/OVERLAYS.md).
+/// statuses[q] is the outcome of queries[q] for all of its users: the base
+/// run and the re-check scans are shared, so they fail together.
+struct OverlayBatchResult : BatchStatuses {
+  /// results[q][u] answers queries[q] under overlays[u]: rows are
+  /// bit-identical to rebuilding user u's patched SimilaritySpace and
+  /// running the full algorithm over it. Per-(q,u) stats carry only
+  /// result_size — the shared work (base run, classification, re-check
+  /// scans) is reported once in the batch-level fields below, because
+  /// attributing one shared scan to K users would double-count it.
   std::vector<std::vector<ReverseSkylineResult>> results;
-  std::vector<Status> statuses;
 
-  bool ok() const {
-    for (const Status& s : statuses) {
-      if (!s.ok()) return false;
-    }
-    return true;
-  }
-  Status first_error() const {
-    for (const Status& s : statuses) {
-      if (!s.ok()) return s;
-    }
-    return Status::OK();
-  }
-
-  /// The sharded base-space batch the users share.
+  /// The base-space batch the users share: its rows are the
+  /// overlay-invariant answer, its stats/IO the phase the users share.
   ShardedBatchResult base;
 
+  /// Overlay telemetry. `sensitive_rows` / `invariant_rows` sum the
+  /// per-user classification over all users (their sum is rows * users);
+  /// `recheck_scans` counts the grouped re-check passes over the dataset
+  /// (<= queries * ceil(users / overlay_group)); `recheck_checks` /
+  /// `recheck_pair_tests` aggregate the re-check pruning work.
   uint64_t sensitive_rows = 0;
   uint64_t invariant_rows = 0;
   uint64_t recheck_scans = 0;
@@ -152,6 +167,7 @@ struct ShardedOverlayBatchResult {
   /// IO of the classification pass + re-check scans (over the base file,
   /// through clean views; not part of base.total_io).
   IoStats overlay_io;
+  /// Aggregate IO: base batch + classification + re-check scans.
   IoStats total_io;
 
   double wall_millis = 0;
@@ -178,13 +194,20 @@ struct ShardedOverlayBatchResult {
 /// which makes the merged row set bit-identical to single-shard execution
 /// by construction, for any partitioning.
 ///
+/// This is the only executor: an unpartitioned dataset runs through it as
+/// ShardedDataset::Partition(prepared, {}), whose single shard aliases the
+/// base file with zero IO. Each worker reads through a private DiskView
+/// (its own spindle) and spills phase-1 survivors to view-local scratch
+/// files; tasks fan out across the pool's work-stealing deques and results
+/// land at their query's index.
+///
 /// Determinism contract: rows and statuses are independent of worker count
 /// and scheduling, and equal to the single-shard rows for every shard
-/// count. With num_shards == 1 over a Partition(num_shards=1) dataset the
-/// engine reads the base file itself with fault stream == the query index
-/// — counters and IO then reproduce QueryEngine bit-for-bit. With more
-/// shards, per-query counters are deterministic for a fixed shard count
-/// but necessarily differ from the single-shard counters.
+/// count. With one shard the engine reads the base file itself with fault
+/// stream == the query index and runs no exchange — counters and IO then
+/// equal a sequential RunReverseSkyline of each query bit-for-bit. With
+/// more shards, per-query counters are deterministic for a fixed shard
+/// count but necessarily differ from the single-shard counters.
 ///
 /// Fault streams: (query q, shard s) reads under stream q + (s << 32), a
 /// pure function of the pair, so fault patterns stay independent of worker
@@ -198,25 +221,23 @@ class ShardedQueryEngine {
                      const SimilaritySpace& space, Algorithm algo,
                      EngineOptions opts = {});
 
-  /// Deprecation shim for the historical nested-options form; flattens
-  /// into EngineOptions (opts.engine with opts.net grafted on).
-  ShardedQueryEngine(const ShardedDataset& sharded,
-                     const SimilaritySpace& space, Algorithm algo,
-                     const ShardedEngineOptions& opts)
-      : ShardedQueryEngine(sharded, space, algo, opts.Flatten()) {}
-
   size_t num_workers() const { return pool_.num_threads(); }
   int num_shards() const { return sharded_->num_shards(); }
   Algorithm algorithm() const { return algo_; }
 
   /// Shard s's replica set / page cache (cache null when cache_pages == 0
-  /// or the batch runs fault injection, as in QueryEngine).
+  /// or the engine runs fault injection: a shared cache would let one
+  /// query's faulted fetch leak into another query's reads in a
+  /// scheduling-dependent way). Pool stats aggregate over every batch.
   const ReplicaSet& replicas(int s) const { return *replica_sets_[s]; }
   const BufferPool* buffer_pool(int s) const { return pool_caches_[s].get(); }
 
   /// Runs every query through scatter -> exchange -> verify -> merge,
-  /// blocking until the batch completes. Per-query isolation as in
-  /// QueryEngine: a storage fault on any shard fails only that query.
+  /// blocking until the batch completes. Per-query isolation: a storage
+  /// fault on any shard fails only that query, whose outcome lands in
+  /// statuses while the rest of the batch returns real results. The
+  /// call-level StatusOr is an error only for batch-level problems (an
+  /// out-of-range resilience policy).
   StatusOr<ShardedBatchResult> RunBatch(const std::vector<Object>& queries);
 
   /// Answers every query for every overlay user (docs/OVERLAYS.md): one
@@ -227,7 +248,7 @@ class ShardedQueryEngine {
   /// bit-identical to rebuilding each user's patched space and running the
   /// sharded batch per user. Overlays must be non-null, built over this
   /// engine's space; the engine's rs.overlay template must be null.
-  StatusOr<ShardedOverlayBatchResult> RunOverlayBatch(
+  StatusOr<OverlayBatchResult> RunOverlayBatch(
       const std::vector<Object>& queries,
       const std::vector<const MatrixOverlay*>& overlays);
 

@@ -132,7 +132,7 @@ class QuarantineLog {
 /// Everything a reader needs to know about surviving storage faults, in one
 /// struct: checksum verification, the transient-retry budget, where to
 /// report pages that are gone for good, and how many storage replicas exist
-/// to fail over to. Embedded in RSOptions and QueryEngineOptions and
+/// to fail over to. Embedded in RSOptions (and so in EngineOptions) and
 /// consumed by MakeReaderOptions, so algorithms, the batch engine and the
 /// CLI all speak the same resilience vocabulary. Default-constructed ==
 /// everything off: no checksums, 3 transient attempts, no quarantine

@@ -182,7 +182,7 @@ TEST_F(FaultPropagationTest, BichromaticSurfacesFaultsFromEitherSet) {
 }
 
 TEST_F(FaultPropagationTest, StandaloneFailoverRecoversEveryAlgorithm) {
-  // Without the QueryEngine: a bad middle page on the primary disk plus
+  // Without the batch engine: a bad middle page on the primary disk plus
   // one clean failover replica (RSOptions::failover_disks) lets every
   // algorithm return the fault-free rows, with the failover visible in its
   // IO accounting.

@@ -94,42 +94,5 @@ TEST(InfluenceTest, EmptyQueryList) {
   EXPECT_DOUBLE_EQ(report->Gini(), 0.0);
 }
 
-TEST(InfluenceTest, ParallelMatchesSerial) {
-  RandomInstance inst(9, 400, {6, 6, 6});
-  Rng rng(10);
-  std::vector<Object> queries;
-  for (int i = 0; i < 16; ++i) {
-    queries.push_back(SampleUniformQuery(inst.data, rng));
-  }
-  SimulatedDisk disk(512);
-  auto prepared = PrepareDataset(&disk, inst.data, Algorithm::kTRS, {});
-  ASSERT_TRUE(prepared.ok());
-  auto serial = AnalyzeInfluence(*prepared, inst.space, queries);
-  ASSERT_TRUE(serial.ok());
-  for (unsigned threads : {1u, 2u, 4u, 0u}) {
-    auto parallel = AnalyzeInfluenceParallel(inst.data, inst.space, queries,
-                                             Algorithm::kTRS, {}, threads);
-    ASSERT_TRUE(parallel.ok()) << "threads=" << threads;
-    ASSERT_EQ(parallel->ranking.size(), serial->ranking.size());
-    EXPECT_EQ(parallel->total_influence, serial->total_influence);
-    for (size_t i = 0; i < serial->ranking.size(); ++i) {
-      EXPECT_EQ(parallel->ranking[i].query_index,
-                serial->ranking[i].query_index);
-      EXPECT_EQ(parallel->ranking[i].influence,
-                serial->ranking[i].influence);
-    }
-  }
-}
-
-TEST(InfluenceTest, ParallelMoreThreadsThanQueries) {
-  RandomInstance inst(11, 60, {4, 4});
-  Rng rng(12);
-  std::vector<Object> queries = {SampleUniformQuery(inst.data, rng)};
-  auto report = AnalyzeInfluenceParallel(inst.data, inst.space, queries,
-                                         Algorithm::kSRS, {}, 8);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->ranking.size(), 1u);
-}
-
 }  // namespace
 }  // namespace nmrs

@@ -2,12 +2,12 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/pipeline.h"
 #include "sim/matrix_overlay.h"
-#include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "testing/test_util.h"
@@ -193,7 +193,8 @@ TEST(DatabaseTest, SnapshotBitIdenticalToRebuildAllAlgorithms) {
 
     const std::vector<Object> queries =
         MakeQueries(inst, 1000 + static_cast<int>(algo), 8);
-    QueryEngine engine(*prep, inst.space, algo, EngineOptions{});
+    const ShardedDataset one = ShardedDataset::Partition(*prep, {}).value();
+    ShardedQueryEngine engine(one, inst.space, algo, EngineOptions{});
     auto want = engine.RunBatch(queries);
     ASSERT_TRUE(want.ok());
     auto got = snap->RunBatch(queries);
@@ -237,7 +238,8 @@ TEST(DatabaseTest, SnapshotBitIdenticalUnderEngineComposition) {
   ExpectSameBytes(snap->prepared().stored, prep->stored);
 
   const std::vector<Object> queries = MakeQueries(inst, 2000, 12);
-  QueryEngine engine(*prep, inst.space, opts.algo, opts.engine);
+  const ShardedDataset one = ShardedDataset::Partition(*prep, {}).value();
+  ShardedQueryEngine engine(one, inst.space, opts.algo, opts.engine);
   auto want = engine.RunBatch(queries);
   ASSERT_TRUE(want.ok());
   auto got = snap->RunBatch(queries);
@@ -278,7 +280,7 @@ TEST(DatabaseTest, ShardedSnapshotMatchesRebuild) {
   ASSERT_TRUE(want.ok());
   auto got = snap->RunBatch(queries);
   ASSERT_TRUE(got.ok());
-  ASSERT_FALSE(got->plain.has_value());
+  EXPECT_EQ(snap->engine().num_shards(), opts.num_shards);
   ExpectSameResults(got->results(), want->results);
 }
 
@@ -395,7 +397,8 @@ TEST(DatabaseTest, OverlayBatchMatchesRebuild) {
   auto prep = PrepareDataset(&disk, merged, opts.algo,
                              (*db)->options().prepare, "rebuild");
   ASSERT_TRUE(prep.ok());
-  QueryEngine engine(*prep, inst.space, opts.algo, opts.engine);
+  const ShardedDataset one = ShardedDataset::Partition(*prep, {}).value();
+  ShardedQueryEngine engine(one, inst.space, opts.algo, opts.engine);
   auto want = engine.RunOverlayBatch(queries, overlays);
   ASSERT_TRUE(want.ok());
 
@@ -406,6 +409,35 @@ TEST(DatabaseTest, OverlayBatchMatchesRebuild) {
       EXPECT_EQ(got->results()[q][u].rows, want->results[q][u].rows)
           << "query " << q << " user " << u;
     }
+  }
+}
+
+// Replica options the engine cannot build are a Status from Open, not an
+// abort inside the engine constructor.
+TEST(DatabaseTest, OpenRejectsUnbuildableReplicaOptions) {
+  RandomInstance inst(98, 40, {4, 4});
+  auto open = [&](int replicas, size_t fault_configs) {
+    DatabaseOptions opts;
+    opts.engine.rs.resilience.replicas = replicas;
+    opts.engine.replica_faults.assign(fault_configs, FaultConfig{});
+    return Database::Open(inst.data, inst.space, opts);
+  };
+  // Fewer fault configs than replicas.
+  EXPECT_TRUE(open(2, 1).status().IsInvalidArgument());
+  // More replicas than the accounting represents, fully covered by configs.
+  EXPECT_TRUE(open(static_cast<int>(IoStats::kMaxReplicas) + 1,
+                   IoStats::kMaxReplicas + 1)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(open(0, 0).status().IsInvalidArgument());
+  // Valid shapes still open and answer.
+  for (const auto& [replicas, configs] :
+       {std::pair<int, size_t>{2, 2}, std::pair<int, size_t>{3, 0}}) {
+    auto db = open(replicas, configs);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    auto got = (*db)->RunBatch(MakeQueries(inst, 6000, 2));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_TRUE(got->ok()) << got->first_error().ToString();
   }
 }
 

@@ -2,7 +2,7 @@
 #include <vector>
 
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "storage/disk_view.h"
 #include "testing/test_util.h"
@@ -46,21 +46,23 @@ RSOptions SmallMemory() {
   return rs;
 }
 
-BatchResult RunWith(const PreparedDataset& prepared,
-                    const SimilaritySpace& space, Algorithm algo,
-                    const std::vector<Object>& queries, size_t workers,
-                    uint64_t cache_pages) {
-  QueryEngineOptions opts;
+ShardedBatchResult RunWith(const PreparedDataset& prepared,
+                           const SimilaritySpace& space, Algorithm algo,
+                           const std::vector<Object>& queries, size_t workers,
+                           uint64_t cache_pages) {
+  EngineOptions opts;
   opts.num_workers = workers;
   opts.rs = SmallMemory();
   opts.cache_pages = cache_pages;
-  QueryEngine engine(prepared, space, algo, opts);
+  const ShardedDataset one = ShardedDataset::Partition(prepared, {}).value();
+  ShardedQueryEngine engine(one, space, algo, opts);
   auto batch = engine.RunBatch(queries);
   EXPECT_TRUE(batch.ok()) << batch.status();
   return std::move(*batch);
 }
 
-void ExpectSameAnswers(const BatchResult& got, const BatchResult& want,
+void ExpectSameAnswers(const ShardedBatchResult& got,
+                       const ShardedBatchResult& want,
                        std::string_view label) {
   ASSERT_EQ(got.results.size(), want.results.size());
   for (size_t i = 0; i < got.results.size(); ++i) {
@@ -80,12 +82,13 @@ TEST(CacheDeterminismTest, ResultsIdenticalWithPoolOnAndOff) {
     ASSERT_TRUE(prepared.ok()) << prepared.status();
     const uint64_t pages = prepared->stored.num_pages();
 
-    const BatchResult off =
+    const ShardedBatchResult off =
         RunWith(*prepared, wl.instance.space, algo, wl.queries, 1, 0);
     for (size_t workers : {1u, 8u}) {
       for (uint64_t capacity : {pages, pages / 4 + 1}) {
-        const BatchResult on = RunWith(*prepared, wl.instance.space, algo,
-                                       wl.queries, workers, capacity);
+        const ShardedBatchResult on =
+            RunWith(*prepared, wl.instance.space, algo, wl.queries, workers,
+                    capacity);
         ExpectSameAnswers(on, off, AlgorithmName(algo));
         // A cache can only remove charged reads, never add them; writes
         // (per-query scratch spills, which bypass the pool) are untouched.
@@ -113,9 +116,9 @@ TEST(CacheDeterminismTest, FullCacheTotalsAreWorkerCountInvariant) {
     // shard mutex is held across the fetch, so exactly one worker is
     // charged per page).
     const uint64_t no_evict = pages * 8;
-    const BatchResult one =
+    const ShardedBatchResult one =
         RunWith(*prepared, wl.instance.space, algo, wl.queries, 1, no_evict);
-    const BatchResult eight =
+    const ShardedBatchResult eight =
         RunWith(*prepared, wl.instance.space, algo, wl.queries, 8, no_evict);
 
     ExpectSameAnswers(eight, one, AlgorithmName(algo));
@@ -145,10 +148,10 @@ TEST(CacheDeterminismTest, SingleWorkerRunsAreReproducible) {
   // Under eviction pressure the totals depend on the access interleaving —
   // but with one worker there is only one interleaving, so two runs of the
   // same configuration must match IoStats field for field.
-  const BatchResult a = RunWith(*prepared, wl.instance.space,
-                                Algorithm::kTRS, wl.queries, 1, quarter);
-  const BatchResult b = RunWith(*prepared, wl.instance.space,
-                                Algorithm::kTRS, wl.queries, 1, quarter);
+  const ShardedBatchResult a = RunWith(*prepared, wl.instance.space,
+                                       Algorithm::kTRS, wl.queries, 1, quarter);
+  const ShardedBatchResult b = RunWith(*prepared, wl.instance.space,
+                                       Algorithm::kTRS, wl.queries, 1, quarter);
   ExpectSameAnswers(a, b, "trs");
   EXPECT_EQ(a.total_io, b.total_io);
   for (size_t i = 0; i < a.results.size(); ++i) {
@@ -163,18 +166,19 @@ TEST(CacheDeterminismTest, EnginePoolStatsMatchBatchTotals) {
       PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 4;
   opts.rs = SmallMemory();
   opts.cache_pages = prepared->stored.num_pages() * 8;
-  QueryEngine engine(*prepared, wl.instance.space, Algorithm::kBRS, opts);
-  ASSERT_NE(engine.buffer_pool(), nullptr);
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
+  ShardedQueryEngine engine(one, wl.instance.space, Algorithm::kBRS, opts);
+  ASSERT_NE(engine.buffer_pool(0), nullptr);
   auto batch = engine.RunBatch(wl.queries);
   ASSERT_TRUE(batch.ok()) << batch.status();
 
   // The pool's own counters and the per-query accumulated cache fields are
   // two views of the same events.
-  const CacheStats pool_stats = engine.buffer_pool()->stats();
+  const CacheStats pool_stats = engine.buffer_pool(0)->stats();
   EXPECT_EQ(pool_stats.hits, batch->total_io.cache_hits);
   EXPECT_EQ(pool_stats.misses, batch->total_io.cache_misses);
   EXPECT_EQ(pool_stats.evictions, batch->total_io.cache_evictions);
@@ -190,11 +194,12 @@ TEST(CacheDeterminismTest, NoCacheEngineIsSeedIdentical) {
       PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.rs = SmallMemory();
-  QueryEngine engine(*prepared, wl.instance.space, Algorithm::kTRS, opts);
-  EXPECT_EQ(engine.buffer_pool(), nullptr);
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
+  ShardedQueryEngine engine(one, wl.instance.space, Algorithm::kTRS, opts);
+  EXPECT_EQ(engine.buffer_pool(0), nullptr);
   auto batch = engine.RunBatch(wl.queries);
   ASSERT_TRUE(batch.ok()) << batch.status();
   EXPECT_EQ(batch->total_io.cache_hits, 0u);

@@ -30,7 +30,6 @@
 #include "common/rng.h"
 #include "data/generators.h"
 #include "db/database.h"
-#include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "sim/dissimilarity_matrix.h"
 #include "sim/matrix_overlay.h"
@@ -109,20 +108,21 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   popts.checksum_pages = s.checksums;
   auto prepared = PrepareDataset(&disk, s.data, s.algo, popts);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
   // Clean baseline (same checksum setting, no faults).
-  BatchResult clean;
+  ShardedBatchResult clean;
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 2;
-    auto batch = QueryEngine(*prepared, s.space, s.algo, opts)
-                     .RunBatch(s.queries);
+    auto batch =
+        ShardedQueryEngine(one, s.space, s.algo, opts).RunBatch(s.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();
     clean = std::move(*batch);
   }
 
-  QueryEngineOptions fopts;
+  EngineOptions fopts;
   fopts.faults = MakeFaults(rng, *prepared, s.checksums);
   fopts.rs.resilience.retry.max_attempts = 1 + static_cast<int>(rng.Uniform(3));
   fopts.max_query_retries = static_cast<int>(rng.Uniform(2));
@@ -148,13 +148,13 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
     }
   }
 
-  BatchResult reference;
+  ShardedBatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 4u}) {
-    QueryEngineOptions opts = fopts;
+    EngineOptions opts = fopts;
     opts.num_workers = workers;
     auto batch =
-        QueryEngine(*prepared, s.space, s.algo, opts).RunBatch(s.queries);
+        ShardedQueryEngine(one, s.space, s.algo, opts).RunBatch(s.queries);
     NMRS_CHECK(batch.ok()) << "config " << index << ": " << batch.status();
 
     if (expect_zero_failures) {
@@ -208,7 +208,7 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
       }
       NMRS_CHECK(batch->total_io == reference.total_io);
       NMRS_CHECK(batch->quarantined == reference.quarantined);
-      NMRS_CHECK(batch->queries_retried == reference.queries_retried);
+      NMRS_CHECK(batch->tasks_retried == reference.tasks_retried);
     }
   }
 
@@ -233,15 +233,15 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
             static_cast<long>(std::min<size_t>(4, s.queries.size())));
 
     // Per-user clean reference: rebuild each patched space and run the
-    // plain engine over it, no faults.
+    // engine over it, no faults.
     std::vector<std::vector<std::vector<RowId>>> owant(
         oqueries.size(), std::vector<std::vector<RowId>>(overlays.size()));
     for (size_t u = 0; u < overlays.size(); ++u) {
       SimilaritySpace patched = overlays[u].BuildPatchedSpace();
-      QueryEngineOptions copts;
+      EngineOptions copts;
       copts.num_workers = 1;
       auto batch =
-          QueryEngine(*prepared, patched, s.algo, copts).RunBatch(oqueries);
+          ShardedQueryEngine(one, patched, s.algo, copts).RunBatch(oqueries);
       NMRS_CHECK(batch.ok()) << batch.status();
       NMRS_CHECK(batch->ok()) << batch->first_error();
       for (size_t q = 0; q < oqueries.size(); ++q) {
@@ -252,9 +252,9 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
     OverlayBatchResult oref;
     bool have_oref = false;
     for (size_t workers : {1u, 4u}) {
-      QueryEngineOptions opts = fopts;
+      EngineOptions opts = fopts;
       opts.num_workers = workers;
-      auto ob = QueryEngine(*prepared, s.space, s.algo, opts)
+      auto ob = ShardedQueryEngine(one, s.space, s.algo, opts)
                     .RunOverlayBatch(oqueries, optrs);
       NMRS_CHECK(ob.ok()) << "config " << index << " (overlay): "
                           << ob.status();
@@ -313,9 +313,8 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   ShardedBatchResult sharded_ref;
   bool have_sharded_ref = false;
   for (size_t workers : {1u, 4u}) {
-    ShardedEngineOptions sopts;
-    sopts.engine = fopts;
-    sopts.engine.num_workers = workers;
+    EngineOptions sopts = fopts;
+    sopts.num_workers = workers;
     auto batch = ShardedQueryEngine(*sharded, s.space, s.algo, sopts)
                      .RunBatch(s.queries);
     NMRS_CHECK(batch.ok()) << "config " << index

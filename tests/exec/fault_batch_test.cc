@@ -2,7 +2,7 @@
 #include <vector>
 
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "testing/test_util.h"
 
@@ -11,7 +11,8 @@ namespace {
 
 using testing::RandomInstance;
 
-// End-to-end fault behavior of QueryEngine::RunBatch: graceful per-query
+// End-to-end fault behavior of ShardedQueryEngine::RunBatch over an
+// unpartitioned dataset (Partition(prepared, {})): graceful per-query
 // degradation, clean-view recovery, and the determinism guarantee — a fixed
 // (seed, fault config, batch) produces byte-identical results, statuses and
 // fault counters across runs and worker counts.
@@ -34,27 +35,43 @@ class FaultBatchTest : public ::testing::Test {
     prepared_ = std::make_unique<StatusOr<PreparedDataset>>(
         PrepareDataset(&disk_, wl_.instance.data, Algorithm::kSRS));
     EXPECT_TRUE(prepared_->ok()) << prepared_->status();
+    one_ = std::make_unique<ShardedDataset>(
+        ShardedDataset::Partition(prepared(), {}).value());
   }
 
   const PreparedDataset& prepared() const { return **prepared_; }
 
-  BatchResult RunWith(QueryEngineOptions opts) {
-    QueryEngine engine(prepared(), wl_.instance.space, Algorithm::kSRS,
-                       opts);
+  ShardedBatchResult RunWith(EngineOptions opts) {
+    ShardedQueryEngine engine(*one_, wl_.instance.space, Algorithm::kSRS,
+                              opts);
     auto batch = engine.RunBatch(wl_.queries);
     EXPECT_TRUE(batch.ok()) << batch.status();
     return std::move(*batch);
   }
 
   // The fault-free ground truth every comparison keys off.
-  BatchResult CleanBaseline() { return RunWith(QueryEngineOptions{}); }
+  ShardedBatchResult CleanBaseline() { return RunWith(EngineOptions{}); }
 
   Workload wl_;
   SimulatedDisk disk_;
   std::unique_ptr<StatusOr<PreparedDataset>> prepared_;
+  std::unique_ptr<ShardedDataset> one_;
 };
 
-void ExpectIdentical(const BatchResult& a, const BatchResult& b) {
+// Runs a batch over a freshly prepared single-shard dataset.
+ShardedBatchResult RunOn(const PreparedDataset& prepared,
+                         const SimilaritySpace& space,
+                         const std::vector<Object>& queries,
+                         EngineOptions opts) {
+  const ShardedDataset one = ShardedDataset::Partition(prepared, {}).value();
+  ShardedQueryEngine engine(one, space, Algorithm::kSRS, opts);
+  auto batch = engine.RunBatch(queries);
+  EXPECT_TRUE(batch.ok()) << batch.status();
+  return std::move(*batch);
+}
+
+void ExpectIdentical(const ShardedBatchResult& a,
+                     const ShardedBatchResult& b) {
   ASSERT_EQ(a.results.size(), b.results.size());
   for (size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i].rows, b.results[i].rows) << "query " << i;
@@ -63,7 +80,7 @@ void ExpectIdentical(const BatchResult& a, const BatchResult& b) {
         << "query " << i;
   }
   EXPECT_EQ(a.total_io, b.total_io);
-  EXPECT_EQ(a.queries_retried, b.queries_retried);
+  EXPECT_EQ(a.tasks_retried, b.tasks_retried);
   EXPECT_EQ(a.quarantined, b.quarantined);
 }
 
@@ -71,17 +88,17 @@ TEST_F(FaultBatchTest, FaultsOffIsBitIdenticalToDefaultEngine) {
   // Guard for the seed path: an engine with every fault option explicitly
   // at its default produces byte-identical output to the default engine,
   // with all fault counters zero and no checksum footer in play.
-  BatchResult plain = CleanBaseline();
-  QueryEngineOptions off;
+  ShardedBatchResult plain = CleanBaseline();
+  EngineOptions off;
   off.faults = FaultConfig{};  // disabled
   off.rs.resilience.checksum_pages = false;
   off.max_query_retries = 0;
-  BatchResult explicit_off = RunWith(off);
+  ShardedBatchResult explicit_off = RunWith(off);
   ExpectIdentical(plain, explicit_off);
   EXPECT_TRUE(plain.ok());
   EXPECT_EQ(plain.num_failed(), 0u);
   EXPECT_TRUE(plain.quarantined.empty());
-  EXPECT_EQ(plain.queries_retried, 0u);
+  EXPECT_EQ(plain.tasks_retried, 0u);
   EXPECT_EQ(plain.total_io.transient_retries, 0u);
   EXPECT_EQ(plain.total_io.checksum_failures, 0u);
   EXPECT_EQ(plain.total_io.quarantined_pages, 0u);
@@ -93,11 +110,11 @@ TEST_F(FaultBatchTest, BadPagesFailEveryScanningQueryGracefully) {
   // partial stats — not die on the first error.
   const PageId mid =
       static_cast<PageId>(disk_.NumPages(prepared().stored.file()) / 2);
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 1;
   opts.faults.bad_pages.insert({prepared().stored.file(), 0});
   opts.faults.bad_pages.insert({prepared().stored.file(), mid});
-  BatchResult batch = RunWith(opts);
+  ShardedBatchResult batch = RunWith(opts);
 
   EXPECT_FALSE(batch.ok());
   EXPECT_EQ(batch.num_failed(), wl_.queries.size());
@@ -120,15 +137,15 @@ TEST_F(FaultBatchTest, CleanViewRetryRecoversEveryQuery) {
   // Same bad page, but max_query_retries models a replica read: every
   // query fails its faulty attempt and succeeds on the clean view, so the
   // batch ends fully correct while still reporting what went wrong.
-  BatchResult clean = CleanBaseline();
-  QueryEngineOptions opts;
+  ShardedBatchResult clean = CleanBaseline();
+  EngineOptions opts;
   opts.faults.seed = 1;
   opts.faults.bad_pages.insert({prepared().stored.file(), 0});
   opts.max_query_retries = 1;
-  BatchResult batch = RunWith(opts);
+  ShardedBatchResult batch = RunWith(opts);
 
   EXPECT_TRUE(batch.ok());
-  EXPECT_EQ(batch.queries_retried, wl_.queries.size());
+  EXPECT_EQ(batch.tasks_retried, wl_.queries.size());
   ASSERT_EQ(batch.quarantined.size(), 1u);
   for (size_t i = 0; i < batch.results.size(); ++i) {
     EXPECT_EQ(batch.results[i].rows, clean.results[i].rows) << "query " << i;
@@ -142,12 +159,12 @@ TEST_F(FaultBatchTest, TransientStormIsolatesAffectedQueries) {
   // No page-level retries: every transient kills its query, so a
   // deterministic subset of the batch fails while the rest must stay
   // bit-identical to the clean baseline.
-  BatchResult clean = CleanBaseline();
-  QueryEngineOptions opts;
+  ShardedBatchResult clean = CleanBaseline();
+  EngineOptions opts;
   opts.faults.seed = 1009;
   opts.faults.transient_read_p = 0.05;
   opts.rs.resilience.retry.max_attempts = 1;
-  BatchResult batch = RunWith(opts);
+  ShardedBatchResult batch = RunWith(opts);
 
   EXPECT_GT(batch.num_failed(), 0u) << "seed produced no affected query";
   EXPECT_LT(batch.num_failed(), wl_.queries.size())
@@ -171,11 +188,11 @@ TEST_F(FaultBatchTest, AcceptanceScenarioTransientsPlusBadPages) {
   // and one clean-view query retry. Affected queries report storage-fault
   // statuses on their faulty attempt and recover on the replica; the whole
   // batch returns correct rows.
-  BatchResult clean = CleanBaseline();
+  ShardedBatchResult clean = CleanBaseline();
   const PageId mid =
       static_cast<PageId>(disk_.NumPages(prepared().stored.file()) / 2);
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 7;
   opts.faults.transient_read_p = 1e-3;
   opts.faults.bad_pages.insert({prepared().stored.file(), mid});
@@ -184,7 +201,7 @@ TEST_F(FaultBatchTest, AcceptanceScenarioTransientsPlusBadPages) {
   // Without recovery: the batch completes, unaffected-by-definition there
   // are none (every scan crosses the bad page), every status is in the
   // kDataLoss/kCorruption family, partial stats flow.
-  BatchResult no_retry = RunWith(opts);
+  ShardedBatchResult no_retry = RunWith(opts);
   EXPECT_EQ(no_retry.num_failed(), wl_.queries.size());
   for (const Status& s : no_retry.statuses) {
     EXPECT_TRUE(s.IsStorageFault()) << s;
@@ -192,9 +209,9 @@ TEST_F(FaultBatchTest, AcceptanceScenarioTransientsPlusBadPages) {
 
   // With recovery: every query returns the correct rows.
   opts.max_query_retries = 1;
-  BatchResult recovered = RunWith(opts);
+  ShardedBatchResult recovered = RunWith(opts);
   EXPECT_TRUE(recovered.ok());
-  EXPECT_EQ(recovered.queries_retried, wl_.queries.size());
+  EXPECT_EQ(recovered.tasks_retried, wl_.queries.size());
   for (size_t i = 0; i < recovered.results.size(); ++i) {
     EXPECT_EQ(recovered.results[i].rows, clean.results[i].rows)
         << "query " << i;
@@ -206,33 +223,22 @@ TEST_F(FaultBatchTest, AcceptanceScenarioTransientsPlusBadPages) {
 }
 
 TEST_F(FaultBatchTest, FaultPatternIsIndependentOfWorkerCountAndRuns) {
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 99;
   opts.faults.transient_read_p = 0.05;
   // Some retries fire and are absorbed.
   opts.rs.resilience.retry.max_attempts = 2;
 
-  BatchResult reference = RunWith(opts);  // default workers
+  ShardedBatchResult reference = RunWith(opts);  // default workers
   EXPECT_GT(reference.total_io.transient_retries, 0u);
   for (size_t workers : {1u, 8u}) {
     for (int run = 0; run < 2; ++run) {
-      QueryEngineOptions o = opts;
+      EngineOptions o = opts;
       o.num_workers = workers;
-      BatchResult batch = RunWith(o);
+      ShardedBatchResult batch = RunWith(o);
       ExpectIdentical(reference, batch);
     }
   }
-}
-
-TEST_F(FaultBatchTest, FailFastRestoresLegacySemantics) {
-  QueryEngineOptions opts;
-  opts.faults.seed = 1;
-  opts.faults.bad_pages.insert({prepared().stored.file(), 0});
-  opts.fail_fast = true;
-  QueryEngine engine(prepared(), wl_.instance.space, Algorithm::kSRS, opts);
-  auto batch = engine.RunBatch(wl_.queries);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_TRUE(batch.status().IsDataLoss()) << batch.status();
 }
 
 TEST_F(FaultBatchTest, ChecksummedBatchSurvivesCorruptionViaRetry) {
@@ -247,28 +253,24 @@ TEST_F(FaultBatchTest, ChecksummedBatchSurvivesCorruptionViaRetry) {
       PrepareDataset(&disk, wl_.instance.data, Algorithm::kSRS, popts);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngineOptions clean_opts;  // engine auto-enables verification
-  QueryEngine clean_engine(*prepared, wl_.instance.space, Algorithm::kSRS,
-                           clean_opts);
-  auto clean = clean_engine.RunBatch(wl_.queries);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  ASSERT_TRUE(clean->ok()) << clean->first_error();
+  // The engine auto-enables verification.
+  const ShardedBatchResult clean =
+      RunOn(*prepared, wl_.instance.space, wl_.queries, EngineOptions{});
+  ASSERT_TRUE(clean.ok()) << clean.first_error();
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 3;
   opts.faults.corrupt_p = 0.02;
   opts.max_query_retries = 1;
-  QueryEngine engine(*prepared, wl_.instance.space, Algorithm::kSRS, opts);
-  auto batch = engine.RunBatch(wl_.queries);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_TRUE(batch->ok()) << batch->first_error();
-  EXPECT_GT(batch->total_io.checksum_failures +
-                static_cast<uint64_t>(batch->queries_retried),
+  const ShardedBatchResult batch =
+      RunOn(*prepared, wl_.instance.space, wl_.queries, opts);
+  EXPECT_TRUE(batch.ok()) << batch.first_error();
+  EXPECT_GT(batch.total_io.checksum_failures +
+                static_cast<uint64_t>(batch.tasks_retried),
             0u)
       << "corruption config fired nothing; raise corrupt_p";
-  for (size_t i = 0; i < batch->results.size(); ++i) {
-    EXPECT_EQ(batch->results[i].rows, clean->results[i].rows)
-        << "query " << i;
+  for (size_t i = 0; i < batch.results.size(); ++i) {
+    EXPECT_EQ(batch.results[i].rows, clean.results[i].rows) << "query " << i;
   }
 }
 
@@ -279,24 +281,24 @@ TEST_F(FaultBatchTest, ReplicaFailoverCompletesBatchWithZeroFailures) {
   // query-level retries — recovery must come entirely from page-granular
   // failover. The batch completes with zero failed queries and rows
   // bit-identical to the fault-free run.
-  BatchResult clean = CleanBaseline();
+  ShardedBatchResult clean = CleanBaseline();
   for (int replicas : {2, 3}) {
     FaultConfig lossy;
     lossy.seed = 4242;
     lossy.data_loss_p = 1e-3;
     lossy.bad_pages.insert({prepared().stored.file(), 0});
 
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.resilience.replicas = replicas;
     opts.replica_faults.assign(static_cast<size_t>(replicas), FaultConfig{});
     opts.replica_faults[0] = lossy;
     opts.max_query_retries = 0;
-    BatchResult batch = RunWith(opts);
+    ShardedBatchResult batch = RunWith(opts);
 
     EXPECT_TRUE(batch.ok()) << "replicas=" << replicas << ": "
                             << batch.first_error();
     EXPECT_EQ(batch.num_failed(), 0u);
-    EXPECT_EQ(batch.queries_retried, 0u);  // no clean-view re-runs happened
+    EXPECT_EQ(batch.tasks_retried, 0u);  // no clean-view re-runs happened
     EXPECT_TRUE(batch.quarantined.empty());  // no page failed EVERY replica
     EXPECT_GT(batch.total_io.failovers, 0u);
     EXPECT_GT(batch.total_io.replica_reads[1], 0u);
@@ -312,15 +314,15 @@ TEST_F(FaultBatchTest, TotallyDeadReplicaIsDeterministicAcrossWorkerCounts) {
   // then sticks to the surviving replica. Results, statuses, and the full
   // per-query IO accounting (failovers and replica_reads included) must be
   // independent of worker count and repeatable.
-  BatchResult clean = CleanBaseline();
+  ShardedBatchResult clean = CleanBaseline();
   FaultConfig dead;
   dead.seed = 5;
   dead.data_loss_p = 1.0;
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.resilience.replicas = 2;
   opts.replica_faults = {dead, FaultConfig{}};
-  BatchResult reference = RunWith(opts);
+  ShardedBatchResult reference = RunWith(opts);
 
   EXPECT_TRUE(reference.ok()) << reference.first_error();
   EXPECT_GT(reference.total_io.failovers, 0u);
@@ -330,9 +332,9 @@ TEST_F(FaultBatchTest, TotallyDeadReplicaIsDeterministicAcrossWorkerCounts) {
         << "query " << i;
   }
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions o = opts;
+    EngineOptions o = opts;
     o.num_workers = workers;
-    BatchResult batch = RunWith(o);
+    ShardedBatchResult batch = RunWith(o);
     ExpectIdentical(reference, batch);
   }
 }
@@ -341,15 +343,15 @@ TEST_F(FaultBatchTest, SingleReplicaIsBitIdenticalToTheUnreplicatedEngine) {
   // replicas = 1 must be a pure no-op: same fault pattern (replica 0 keeps
   // the seed verbatim), same results, same accounting as an engine that
   // never heard of replicas — and the failover counters stay zero.
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.faults.seed = 99;
   opts.faults.transient_read_p = 0.05;
   opts.rs.resilience.retry.max_attempts = 2;
-  BatchResult unreplicated = RunWith(opts);
+  ShardedBatchResult unreplicated = RunWith(opts);
 
-  QueryEngineOptions one = opts;
+  EngineOptions one = opts;
   one.rs.resilience.replicas = 1;
-  BatchResult single = RunWith(one);
+  ShardedBatchResult single = RunWith(one);
   ExpectIdentical(unreplicated, single);
   EXPECT_EQ(single.total_io.failovers, 0u);
   EXPECT_EQ(single.total_io.ReplicaReadsTotal(), 0u);
@@ -363,10 +365,10 @@ TEST_F(FaultBatchTest, AllReplicasLosingAPageStillFailsTheQuery) {
   lossy.seed = 1;
   lossy.bad_pages.insert({prepared().stored.file(), 0});
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.resilience.replicas = 2;
   opts.replica_faults = {lossy, lossy};
-  BatchResult batch = RunWith(opts);
+  ShardedBatchResult batch = RunWith(opts);
 
   EXPECT_FALSE(batch.ok());
   EXPECT_EQ(batch.num_failed(), wl_.queries.size());
@@ -387,29 +389,25 @@ TEST_F(FaultBatchTest, FailoverComposesWithChecksumsAndCorruption) {
       PrepareDataset(&disk, wl_.instance.data, Algorithm::kSRS, popts);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
 
-  QueryEngine clean_engine(*prepared, wl_.instance.space, Algorithm::kSRS,
-                           QueryEngineOptions{});
-  auto clean = clean_engine.RunBatch(wl_.queries);
-  ASSERT_TRUE(clean.ok()) << clean.status();
-  ASSERT_TRUE(clean->ok()) << clean->first_error();
+  const ShardedBatchResult clean =
+      RunOn(*prepared, wl_.instance.space, wl_.queries, EngineOptions{});
+  ASSERT_TRUE(clean.ok()) << clean.first_error();
 
   FaultConfig corrupting;
   corrupting.seed = 3;
   corrupting.corrupt_p = 0.05;
 
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.resilience.replicas = 2;
   opts.replica_faults = {corrupting, FaultConfig{}};
-  QueryEngine engine(*prepared, wl_.instance.space, Algorithm::kSRS, opts);
-  auto batch = engine.RunBatch(wl_.queries);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  EXPECT_TRUE(batch->ok()) << batch->first_error();
-  EXPECT_GT(batch->total_io.checksum_failures, 0u)
+  const ShardedBatchResult batch =
+      RunOn(*prepared, wl_.instance.space, wl_.queries, opts);
+  EXPECT_TRUE(batch.ok()) << batch.first_error();
+  EXPECT_GT(batch.total_io.checksum_failures, 0u)
       << "corruption config fired nothing; raise corrupt_p";
-  EXPECT_GT(batch->total_io.failovers, 0u);
-  for (size_t i = 0; i < batch->results.size(); ++i) {
-    EXPECT_EQ(batch->results[i].rows, clean->results[i].rows)
-        << "query " << i;
+  EXPECT_GT(batch.total_io.failovers, 0u);
+  for (size_t i = 0; i < batch.results.size(); ++i) {
+    EXPECT_EQ(batch.results[i].rows, clean.results[i].rows) << "query " << i;
   }
 }
 

@@ -3,7 +3,6 @@
 
 #include "data/generators.h"
 #include "exec/overlay_exec.h"
-#include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "sim/matrix_overlay.h"
@@ -56,14 +55,15 @@ const OverlayWorkload& SharedWorkload() {
 // full per-user batch through a fresh engine.
 std::vector<std::vector<std::vector<RowId>>> RebuildReference(
     const PreparedDataset& prepared, Algorithm algo,
-    const QueryEngineOptions& opts) {
+    const EngineOptions& opts) {
   const OverlayWorkload& wl = SharedWorkload();
+  const ShardedDataset one = ShardedDataset::Partition(prepared, {}).value();
   std::vector<std::vector<std::vector<RowId>>> rows(
       wl.queries.size(),
       std::vector<std::vector<RowId>>(wl.overlays.size()));
   for (size_t u = 0; u < wl.overlays.size(); ++u) {
     const SimilaritySpace patched = wl.overlays[u]->BuildPatchedSpace();
-    QueryEngine engine(prepared, patched, algo, opts);
+    ShardedQueryEngine engine(one, patched, algo, opts);
     auto batch = engine.RunBatch(wl.queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();
@@ -75,9 +75,10 @@ std::vector<std::vector<std::vector<RowId>>> RebuildReference(
 }
 
 void ExpectMatchesRebuild(const PreparedDataset& prepared, Algorithm algo,
-                          QueryEngineOptions opts) {
+                          EngineOptions opts) {
   const OverlayWorkload& wl = SharedWorkload();
-  QueryEngine engine(prepared, wl.instance.space, algo, opts);
+  const ShardedDataset one = ShardedDataset::Partition(prepared, {}).value();
+  ShardedQueryEngine engine(one, wl.instance.space, algo, opts);
   auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_TRUE(got->ok()) << got->first_error();
@@ -96,7 +97,7 @@ TEST(OverlayBatchTest, MatchesPerUserRebuildAllAlgorithms) {
     SimulatedDisk disk;
     auto prep = PrepareDataset(&disk, wl.instance.data, algo);
     ASSERT_TRUE(prep.ok()) << prep.status();
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 4;
     ExpectMatchesRebuild(*prep, algo, opts);
   }
@@ -107,7 +108,7 @@ TEST(OverlayBatchTest, MatchesRebuildWithKernelsCacheAndSharedScans) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kSRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 3;
   opts.rs.use_kernels = true;
   opts.cache_pages = 32;
@@ -123,7 +124,7 @@ TEST(OverlayBatchTest, MatchesRebuildUnderReplicaFaults) {
   po.checksum_pages = true;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS, po);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.rs.resilience.checksum_pages = true;
   opts.rs.resilience.replicas = 2;
@@ -138,14 +139,15 @@ TEST(OverlayBatchTest, ResultsIndependentOfOverlayGroupAndWorkers) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prep, {}).value();
 
   std::vector<std::vector<std::vector<RowId>>> baseline;
   for (size_t workers : {1u, 4u}) {
     for (size_t group : {1u, 2u, 16u}) {
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = workers;
       opts.overlay_group = group;
-      QueryEngine engine(*prep, wl.instance.space, Algorithm::kBRS, opts);
+      ShardedQueryEngine engine(one, wl.instance.space, Algorithm::kBRS, opts);
       auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
       ASSERT_TRUE(got.ok()) << got.status();
       ASSERT_TRUE(got->ok()) << got->first_error();
@@ -170,10 +172,11 @@ TEST(OverlayBatchTest, TelemetryAccountsEveryRowAndScan) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kBRS);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  QueryEngineOptions opts;
+  const ShardedDataset one = ShardedDataset::Partition(*prep, {}).value();
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.overlay_group = 2;
-  QueryEngine engine(*prep, wl.instance.space, Algorithm::kBRS, opts);
+  ShardedQueryEngine engine(one, wl.instance.space, Algorithm::kBRS, opts);
   auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_TRUE(got->ok()) << got->first_error();
@@ -206,8 +209,8 @@ TEST(OverlayBatchTest, ShardedMatchesPerUserRebuild) {
   auto sharded = ShardedDataset::Partition(*prep, plan);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-  ShardedEngineOptions opts;
-  opts.engine.num_workers = 3;
+  EngineOptions opts;
+  opts.num_workers = 3;
   ShardedQueryEngine engine(*sharded, wl.instance.space, Algorithm::kBRS,
                             opts);
   auto got = engine.RunOverlayBatch(wl.queries, wl.OverlayPtrs());
@@ -234,6 +237,7 @@ TEST(OverlayBatchTest, InvariantOnlyUserAnswersFromBaseRun) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kNaive);
   ASSERT_TRUE(prep.ok()) << prep.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prep, {}).value();
 
   // A delta on value ids the dataset never stores as candidate values
   // would need out-of-domain ids; instead use an empty-delta user next to
@@ -243,7 +247,7 @@ TEST(OverlayBatchTest, InvariantOnlyUserAnswersFromBaseRun) {
   MatrixOverlay transparent(wl.instance.space);
   std::vector<const MatrixOverlay*> overlays = {wl.overlays[0].get(),
                                                 &transparent};
-  QueryEngine engine(*prep, wl.instance.space, Algorithm::kNaive, {});
+  ShardedQueryEngine engine(one, wl.instance.space, Algorithm::kNaive, {});
   auto got = engine.RunOverlayBatch(wl.queries, overlays);
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_TRUE(got->ok()) << got->first_error();
@@ -257,7 +261,8 @@ TEST(OverlayBatchTest, RejectsInvalidOverlayArguments) {
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, Algorithm::kNaive);
   ASSERT_TRUE(prep.ok()) << prep.status();
-  QueryEngine engine(*prep, wl.instance.space, Algorithm::kNaive, {});
+  const ShardedDataset one = ShardedDataset::Partition(*prep, {}).value();
+  ShardedQueryEngine engine(one, wl.instance.space, Algorithm::kNaive, {});
 
   EXPECT_TRUE(engine.RunOverlayBatch(wl.queries, {})
                   .status()
@@ -275,9 +280,9 @@ TEST(OverlayBatchTest, RejectsInvalidOverlayArguments) {
                   .IsInvalidArgument());
 
   // Engine whose rs template already carries an overlay: ambiguous.
-  QueryEngineOptions opts;
+  EngineOptions opts;
   opts.rs.overlay = wl.overlays[0].get();
-  QueryEngine tainted(*prep, wl.instance.space, Algorithm::kNaive, opts);
+  ShardedQueryEngine tainted(one, wl.instance.space, Algorithm::kNaive, opts);
   EXPECT_TRUE(tainted.RunOverlayBatch(wl.queries, wl.OverlayPtrs())
                   .status()
                   .IsInvalidArgument());

@@ -1,4 +1,4 @@
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 
 #include <atomic>
 #include <numeric>
@@ -153,9 +153,11 @@ TEST(DiskViewTest, ViewsKeepIndependentArmPositions) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism regression: the engine must return identical result sets and
-// identical aggregate IO totals for 1, 2, and 8 workers (ISSUE 1), and both
-// must equal a plain sequential run of every query.
+// Determinism regression: the engine over an unpartitioned dataset
+// (Partition(prepared, {}), whose single shard aliases the base file) must
+// return identical result sets and identical aggregate IO totals for 1, 2,
+// and 8 workers, and both must equal a plain sequential run of every query
+// — counters included, with no exchange traffic and no partitioning IO.
 // ---------------------------------------------------------------------------
 
 struct Workload {
@@ -177,7 +179,8 @@ RSOptions SmallMemory() {
   return rs;
 }
 
-void ExpectBatchesIdentical(const BatchResult& a, const BatchResult& b) {
+void ExpectBatchesIdentical(const ShardedBatchResult& a,
+                            const ShardedBatchResult& b) {
   ASSERT_EQ(a.results.size(), b.results.size());
   for (size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i].rows, b.results[i].rows) << "query " << i;
@@ -195,6 +198,8 @@ TEST(QueryEngineTest, WorkerCountDoesNotChangeResultsOrIo) {
     SimulatedDisk disk;
     auto prepared = PrepareDataset(&disk, wl.instance.data, algo);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
+    const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
+    EXPECT_EQ(one.partition_io().Total(), 0u);  // file aliased
 
     // Sequential ground truth, charged to a dedicated view so the base
     // disk stays frozen.
@@ -215,25 +220,31 @@ TEST(QueryEngineTest, WorkerCountDoesNotChangeResultsOrIo) {
       }
     }
 
-    BatchResult first;
+    ShardedBatchResult first;
     bool have_first = false;
     for (size_t workers : {1u, 2u, 8u}) {
-      QueryEngineOptions opts;
+      EngineOptions opts;
       opts.num_workers = workers;
       opts.rs = SmallMemory();
-      QueryEngine engine(*prepared, wl.instance.space, algo, opts);
+      ShardedQueryEngine engine(one, wl.instance.space, algo, opts);
       auto batch = engine.RunBatch(wl.queries);
       ASSERT_TRUE(batch.ok()) << batch.status();
       ASSERT_EQ(batch->results.size(), wl.queries.size());
 
       EXPECT_EQ(batch->total_io, expected_io)
           << AlgorithmName(algo) << " with " << workers << " workers";
+      EXPECT_EQ(batch->total_messages, MessageStats{});
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_EQ(batch->results[i].rows, expected[i].rows)
             << AlgorithmName(algo) << " query " << i << " with " << workers
             << " workers";
         EXPECT_EQ(batch->results[i].stats.io, expected[i].stats.io);
         EXPECT_EQ(batch->results[i].stats.checks, expected[i].stats.checks);
+        EXPECT_EQ(batch->results[i].stats.pair_tests,
+                  expected[i].stats.pair_tests);
+        EXPECT_EQ(batch->results[i].stats.result_size,
+                  expected[i].stats.result_size);
+        EXPECT_EQ(batch->breakdown[i].messages, MessageStats{});
       }
 
       if (!have_first) {
@@ -251,17 +262,18 @@ TEST(QueryEngineTest, AggregateIoEqualsSumOfPerQueryIo) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, wl.instance.data, Algorithm::kSRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  QueryEngineOptions opts;
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
+  EngineOptions opts;
   opts.num_workers = 4;
   opts.rs = SmallMemory();
-  QueryEngine engine(*prepared, wl.instance.space, Algorithm::kSRS, opts);
+  ShardedQueryEngine engine(one, wl.instance.space, Algorithm::kSRS, opts);
   auto batch = engine.RunBatch(wl.queries);
   ASSERT_TRUE(batch.ok()) << batch.status();
 
   IoStats sum;
   double busy = 0;
   for (const auto& r : batch->results) sum += r.stats.io;
-  for (double w : batch->worker_modeled_millis) busy += w;
+  for (double w : batch->shard_worker_modeled_millis[0]) busy += w;
   EXPECT_EQ(batch->total_io, sum);
   EXPECT_GT(batch->ModeledMakespanMillis(), 0.0);
   EXPECT_LE(batch->ModeledMakespanMillis(), busy + 1e-9);
@@ -315,19 +327,20 @@ TEST(QueryEngineTest, EngineWithIntraQueryThreadsMatchesSequential) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, wl.instance.data, Algorithm::kTRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  QueryEngineOptions plain;
+  EngineOptions plain;
   plain.num_workers = 1;
   plain.rs = SmallMemory();
-  QueryEngine engine1(*prepared, wl.instance.space, Algorithm::kTRS, plain);
+  ShardedQueryEngine engine1(one, wl.instance.space, Algorithm::kTRS, plain);
   auto expected = engine1.RunBatch(wl.queries);
   ASSERT_TRUE(expected.ok()) << expected.status();
 
-  QueryEngineOptions intra;
+  EngineOptions intra;
   intra.num_workers = 4;
   intra.rs = SmallMemory();
   intra.rs.num_threads = 2;  // engine wires its pool as the executor
-  QueryEngine engine4(*prepared, wl.instance.space, Algorithm::kTRS, intra);
+  ShardedQueryEngine engine4(one, wl.instance.space, Algorithm::kTRS, intra);
   auto batch = engine4.RunBatch(wl.queries);
   ASSERT_TRUE(batch.ok()) << batch.status();
 

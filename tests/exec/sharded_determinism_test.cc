@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "data/generators.h"
-#include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "testing/test_util.h"
@@ -16,8 +15,8 @@ using testing::RandomInstance;
 // The sharding determinism contract (docs/SHARDING.md): result rows and
 // statuses are bit-identical to single-shard execution for every shard
 // count, partitioner, worker count, cache setting and replica/failover
-// configuration — and with one shard the engine reproduces QueryEngine
-// exactly, counters and IO included.
+// configuration — and with one shard the engine reproduces a sequential
+// run exactly, counters and IO included.
 
 constexpr Algorithm kAllAlgorithms[] = {Algorithm::kNaive, Algorithm::kBRS,
                                         Algorithm::kSRS, Algorithm::kTRS};
@@ -55,7 +54,7 @@ struct Fixture {
     sharded = std::make_unique<ShardedDataset>(std::move(*sh));
   }
 
-  ShardedBatchResult Run(ShardedEngineOptions opts = {}) {
+  ShardedBatchResult Run(EngineOptions opts = {}) {
     const Workload& wl = SharedWorkload();
     ShardedQueryEngine engine(*sharded, wl.instance.space, algo, opts);
     auto batch = engine.RunBatch(wl.queries);
@@ -69,25 +68,28 @@ struct Fixture {
   std::unique_ptr<ShardedDataset> sharded;
 };
 
-BatchResult RunPlain(Algorithm algo, QueryEngineOptions opts = {}) {
+// The unpartitioned reference: a sequential RunReverseSkyline per query.
+std::vector<ReverseSkylineResult> RunSequential(Algorithm algo) {
   const Workload& wl = SharedWorkload();
   SimulatedDisk disk;
   auto prep = PrepareDataset(&disk, wl.instance.data, algo);
   NMRS_CHECK(prep.ok()) << prep.status();
-  QueryEngine engine(*prep, wl.instance.space, algo, opts);
-  auto batch = engine.RunBatch(wl.queries);
-  NMRS_CHECK(batch.ok()) << batch.status();
-  return std::move(*batch);
+  std::vector<ReverseSkylineResult> out;
+  for (const Object& q : wl.queries) {
+    auto r = RunReverseSkyline(*prep, wl.instance.space, q, algo);
+    NMRS_CHECK(r.ok()) << r.status();
+    out.push_back(std::move(*r));
+  }
+  return out;
 }
 
-void ExpectSameRows(const ShardedBatchResult& got, const BatchResult& want,
+void ExpectSameRows(const ShardedBatchResult& got,
+                    const std::vector<ReverseSkylineResult>& want,
                     const std::string& label) {
-  ASSERT_EQ(got.results.size(), want.results.size()) << label;
+  ASSERT_EQ(got.results.size(), want.size()) << label;
   for (size_t i = 0; i < got.results.size(); ++i) {
-    EXPECT_EQ(got.results[i].rows, want.results[i].rows)
-        << label << " query " << i;
-    EXPECT_EQ(got.statuses[i].ToString(), want.statuses[i].ToString())
-        << label << " query " << i;
+    EXPECT_EQ(got.results[i].rows, want[i].rows) << label << " query " << i;
+    EXPECT_TRUE(got.statuses[i].ok()) << label << " query " << i;
   }
 }
 
@@ -104,7 +106,7 @@ void ExpectSameRows(const ShardedBatchResult& a, const ShardedBatchResult& b,
 
 TEST(ShardedDeterminismTest, EveryShardCountMatchesPlainEngineAllAlgorithms) {
   for (Algorithm algo : kAllAlgorithms) {
-    const BatchResult want = RunPlain(algo);
+    const std::vector<ReverseSkylineResult> want = RunSequential(algo);
     for (int shards = 1; shards <= 4; ++shards) {
       for (ShardBy by : {ShardBy::kZOrderRange, ShardBy::kHash}) {
         Fixture fx(algo, shards, by);
@@ -120,26 +122,28 @@ TEST(ShardedDeterminismTest, EveryShardCountMatchesPlainEngineAllAlgorithms) {
 
 TEST(ShardedDeterminismTest, SingleShardReproducesQueryEngineBitForBit) {
   // Partition(1) aliases the base file and runs no exchange: counters,
-  // per-query IO and total IO must equal the plain engine's, not just rows.
+  // per-query IO and total IO must equal a sequential RunReverseSkyline per
+  // query (the single-shard path that replaced the plain engine), not just
+  // rows.
   for (Algorithm algo : {Algorithm::kBRS, Algorithm::kTRS}) {
-    const BatchResult want = RunPlain(algo);
+    const std::vector<ReverseSkylineResult> want = RunSequential(algo);
+    IoStats want_total_io;
+    for (const ReverseSkylineResult& r : want) want_total_io += r.stats.io;
     Fixture fx(algo, 1);
     ShardedBatchResult got = fx.Run();
-    ASSERT_EQ(got.results.size(), want.results.size());
+    ASSERT_EQ(got.results.size(), want.size());
     for (size_t i = 0; i < got.results.size(); ++i) {
-      EXPECT_EQ(got.results[i].rows, want.results[i].rows) << "query " << i;
-      EXPECT_EQ(got.results[i].stats.io, want.results[i].stats.io)
+      EXPECT_TRUE(got.statuses[i].ok()) << "query " << i;
+      EXPECT_EQ(got.results[i].rows, want[i].rows) << "query " << i;
+      EXPECT_EQ(got.results[i].stats.io, want[i].stats.io) << "query " << i;
+      EXPECT_EQ(got.results[i].stats.checks, want[i].stats.checks)
           << "query " << i;
-      EXPECT_EQ(got.results[i].stats.checks, want.results[i].stats.checks)
+      EXPECT_EQ(got.results[i].stats.pair_tests, want[i].stats.pair_tests)
           << "query " << i;
-      EXPECT_EQ(got.results[i].stats.pair_tests,
-                want.results[i].stats.pair_tests)
-          << "query " << i;
-      EXPECT_EQ(got.results[i].stats.result_size,
-                want.results[i].stats.result_size)
+      EXPECT_EQ(got.results[i].stats.result_size, want[i].stats.result_size)
           << "query " << i;
     }
-    EXPECT_EQ(got.total_io, want.total_io);
+    EXPECT_EQ(got.total_io, want_total_io);
     EXPECT_EQ(got.total_messages, MessageStats{});
     EXPECT_EQ(fx.sharded->partition_io().Total(), 0u);  // file aliased
   }
@@ -148,14 +152,14 @@ TEST(ShardedDeterminismTest, SingleShardReproducesQueryEngineBitForBit) {
 TEST(ShardedDeterminismTest, WorkerCountAndCacheDoNotChangeResults) {
   for (int shards : {2, 4}) {
     Fixture fx(Algorithm::kSRS, shards);
-    ShardedEngineOptions base;
-    base.engine.num_workers = 1;
+    EngineOptions base;
+    base.num_workers = 1;
     const ShardedBatchResult want = fx.Run(base);
     for (size_t workers : {2u, 5u}) {
       for (uint64_t cache : {0u, 64u}) {
-        ShardedEngineOptions opts;
-        opts.engine.num_workers = workers;
-        opts.engine.cache_pages = cache;
+        EngineOptions opts;
+        opts.num_workers = workers;
+        opts.cache_pages = cache;
         ShardedBatchResult got = fx.Run(opts);
         ExpectSameRows(got, want,
                        "shards=" + std::to_string(shards) + " workers=" +
@@ -176,9 +180,9 @@ TEST(ShardedDeterminismTest, SharedScanMatchesPerQueryExecution) {
   for (int shards : {1, 3}) {
     Fixture fx(Algorithm::kBRS, shards);
     const ShardedBatchResult want = fx.Run();
-    ShardedEngineOptions opts;
-    opts.engine.shared_scan = true;
-    opts.engine.shared_scan_group = 4;
+    EngineOptions opts;
+    opts.shared_scan = true;
+    opts.shared_scan_group = 4;
     ShardedBatchResult got = fx.Run(opts);
     ExpectSameRows(got, want, "shared_scan shards=" + std::to_string(shards));
     EXPECT_GT(got.shared_scan_groups, 0u);
@@ -202,9 +206,9 @@ TEST(ShardedDeterminismTest, ReplicaFailoverKeepsResultsBitIdentical) {
     for (int s = 0; s < shards; ++s) {
       lossy.bad_pages.insert({fx.sharded->shard(s).file(), 0});
     }
-    ShardedEngineOptions opts;
-    opts.engine.rs.resilience.replicas = 2;
-    opts.engine.replica_faults = {lossy, FaultConfig{}};
+    EngineOptions opts;
+    opts.rs.resilience.replicas = 2;
+    opts.replica_faults = {lossy, FaultConfig{}};
     ShardedBatchResult got = fx.Run(opts);
     EXPECT_EQ(got.num_failed(), 0u) << got.first_error();
     ExpectSameRows(got, want, "failover shards=" + std::to_string(shards));
@@ -227,11 +231,11 @@ TEST(ShardedDeterminismTest, FaultedSingleReplicaFailsQueriesInIsolation) {
   Fixture fx(Algorithm::kBRS, 3);
   const ShardedBatchResult want = fx.Run();
 
-  ShardedEngineOptions opts;
-  opts.engine.faults.seed = 1009;
-  opts.engine.faults.transient_read_p = 0.02;
-  opts.engine.rs.resilience.retry.max_attempts = 1;
-  opts.engine.num_workers = 3;
+  EngineOptions opts;
+  opts.faults.seed = 1009;
+  opts.faults.transient_read_p = 0.02;
+  opts.rs.resilience.retry.max_attempts = 1;
+  opts.num_workers = 3;
   ShardedBatchResult got = fx.Run(opts);
   size_t failed = 0;
   for (size_t i = 0; i < got.results.size(); ++i) {
@@ -245,7 +249,7 @@ TEST(ShardedDeterminismTest, FaultedSingleReplicaFailsQueriesInIsolation) {
   EXPECT_GT(failed, 0u) << "fault config too weak";
   EXPECT_LT(failed, got.results.size()) << "fault config too strong";
 
-  opts.engine.num_workers = 1;
+  opts.num_workers = 1;
   ShardedBatchResult serial = fx.Run(opts);
   ExpectSameRows(got, serial, "worker-invariance under faults");
 }

@@ -1,4 +1,4 @@
-// Cross-query shared-scan determinism (QueryEngineOptions::shared_scan,
+// Cross-query shared-scan determinism (EngineOptions::shared_scan,
 // docs/KERNELS.md): per-query rows and check accounting must be
 // bit-identical to per-query execution across worker counts, group sizes,
 // caching, and kernel/adaptive settings; the scan's IO must be accounted
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "data/generators.h"
-#include "exec/query_engine.h"
+#include "exec/sharded_engine.h"
 #include "gtest/gtest.h"
 #include "testing/test_util.h"
 
@@ -49,13 +49,14 @@ TEST_F(SharedScanTest, BitIdenticalToPerQueryExecution) {
     SimulatedDisk disk;
     auto prepared = PrepareDataset(&disk, instance_.data, algo);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
+    const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
     for (const KernelVariant& kv : kKernelVariants) {
-      QueryEngineOptions ref_opts;
+      EngineOptions ref_opts;
       ref_opts.num_workers = 1;
       ref_opts.rs.memory = MemoryBudget{3};
       ref_opts.rs.use_kernels = kv.use_kernels;
       ref_opts.rs.kernel_promote_rows = kv.promote_rows;
-      QueryEngine ref_engine(*prepared, instance_.space, algo, ref_opts);
+      ShardedQueryEngine ref_engine(one, instance_.space, algo, ref_opts);
       auto reference = ref_engine.RunBatch(queries_);
       ASSERT_TRUE(reference.ok()) << reference.status();
       ASSERT_TRUE(reference->ok());
@@ -69,12 +70,12 @@ TEST_F(SharedScanTest, BitIdenticalToPerQueryExecution) {
       for (const Config& cfg : {Config{1, 1, false}, Config{1, 4, false},
                                 Config{1, 16, true}, Config{3, 1, true},
                                 Config{3, 4, false}, Config{3, 16, true}}) {
-        QueryEngineOptions opts = ref_opts;
+        EngineOptions opts = ref_opts;
         opts.num_workers = cfg.workers;
         opts.shared_scan = true;
         opts.shared_scan_group = cfg.group;
         opts.cache_pages = cfg.cache ? prepared->stored.num_pages() : 0;
-        QueryEngine engine(*prepared, instance_.space, algo, opts);
+        ShardedQueryEngine engine(one, instance_.space, algo, opts);
         auto batch = engine.RunBatch(queries_);
         ASSERT_TRUE(batch.ok()) << batch.status();
         ASSERT_TRUE(batch->ok()) << batch->first_error();
@@ -129,12 +130,13 @@ TEST_F(SharedScanTest, SharedBatchCountersMatchPerQueryPhase1) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kSRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
-  QueryEngineOptions opts;
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
+  EngineOptions opts;
   opts.num_workers = 2;
   opts.rs.memory = MemoryBudget{2};
   opts.shared_scan = true;
   opts.shared_scan_group = 8;
-  QueryEngine engine(*prepared, instance_.space, Algorithm::kSRS, opts);
+  ShardedQueryEngine engine(one, instance_.space, Algorithm::kSRS, opts);
   auto batch = engine.RunBatch(queries_);
   ASSERT_TRUE(batch.ok()) << batch.status();
   ASSERT_TRUE(batch->ok());
@@ -157,21 +159,22 @@ TEST_F(SharedScanTest, FallsBackUnderFaultInjectionAndForeignAlgorithms) {
     SimulatedDisk disk;
     auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kBRS);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
-    QueryEngineOptions clean;
+    const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
+    EngineOptions clean;
     clean.num_workers = 1;
     clean.rs.memory = MemoryBudget{2};
-    QueryEngine clean_engine(*prepared, instance_.space, Algorithm::kBRS,
-                             clean);
+    ShardedQueryEngine clean_engine(one, instance_.space, Algorithm::kBRS,
+                                    clean);
     auto reference = clean_engine.RunBatch(queries_);
     ASSERT_TRUE(reference.ok() && reference->ok());
 
-    QueryEngineOptions opts = clean;
+    EngineOptions opts = clean;
     opts.num_workers = 2;
     opts.shared_scan = true;
     opts.faults.seed = 5;
     opts.faults.transient_read_p = 0.05;
     opts.rs.resilience.retry.max_attempts = 6;
-    QueryEngine engine(*prepared, instance_.space, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, instance_.space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries_);
     ASSERT_TRUE(batch.ok()) << batch.status();
     ASSERT_TRUE(batch->ok()) << batch->first_error();
@@ -186,11 +189,12 @@ TEST_F(SharedScanTest, FallsBackUnderFaultInjectionAndForeignAlgorithms) {
     SimulatedDisk disk;
     auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kTRS);
     ASSERT_TRUE(prepared.ok()) << prepared.status();
-    QueryEngineOptions opts;
+    const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
+    EngineOptions opts;
     opts.num_workers = 2;
     opts.rs.memory = MemoryBudget{2};
     opts.shared_scan = true;
-    QueryEngine engine(*prepared, instance_.space, Algorithm::kTRS, opts);
+    ShardedQueryEngine engine(one, instance_.space, Algorithm::kTRS, opts);
     auto batch = engine.RunBatch(queries_);
     ASSERT_TRUE(batch.ok()) << batch.status();
     ASSERT_TRUE(batch->ok());
@@ -202,36 +206,37 @@ TEST_F(SharedScanTest, RejectsPoliciesTheAccountingCannotRepresent) {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, instance_.data, Algorithm::kBRS);
   ASSERT_TRUE(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
   // replicas beyond IoStats::kMaxReplicas used to be silently clamped —
   // replica 9+ would neither serve reads nor appear in replica_reads.
   for (const int replicas : {0, -2, 9, 100}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.memory = MemoryBudget{2};
     opts.num_workers = 1;
     opts.rs.resilience.replicas = replicas;
-    QueryEngine engine(*prepared, instance_.space, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, instance_.space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries_);
     ASSERT_FALSE(batch.ok()) << "replicas=" << replicas;
     EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument)
         << batch.status();
   }
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.memory = MemoryBudget{2};
     opts.num_workers = 1;
     opts.rs.resilience.retry.max_attempts = 0;
-    QueryEngine engine(*prepared, instance_.space, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, instance_.space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries_);
     ASSERT_FALSE(batch.ok());
     EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
   }
   // The full allowed range still runs.
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.rs.memory = MemoryBudget{2};
     opts.num_workers = 1;
     opts.rs.resilience.replicas = static_cast<int>(IoStats::kMaxReplicas);
-    QueryEngine engine(*prepared, instance_.space, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, instance_.space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch({queries_[0]});
     ASSERT_TRUE(batch.ok()) << batch.status();
     EXPECT_TRUE(batch->ok());

@@ -1,4 +1,4 @@
-// Concurrency stress for the parallel query engine, meant to run under
+// Concurrency stress for the parallel batch engine, meant to run under
 // ThreadSanitizer (cmake -DNMRS_TSAN=ON, see ci.sh) as well as in plain
 // builds. Deliberately gtest-free: the TSan build then only contains
 // instrumented nmrs code, avoiding false positives from uninstrumented
@@ -12,7 +12,6 @@
 #include "common/sync.h"
 #include "data/generators.h"
 #include "db/database.h"
-#include "exec/query_engine.h"
 #include "exec/sharded_engine.h"
 #include "exec/thread_pool.h"
 #include "sim/dissimilarity_matrix.h"
@@ -219,23 +218,24 @@ void StressEngineWithSharedCache() {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kBRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  BatchResult uncached;
+  ShardedBatchResult uncached;
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 1;
     opts.rs.memory = MemoryBudget{2};
-    QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     uncached = std::move(*batch);
   }
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs.memory = MemoryBudget{2};
     opts.cache_pages = prepared->stored.num_pages();  // eviction pressure
-    QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -270,28 +270,29 @@ void StressSharedScanBatch() {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kSRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  BatchResult reference;
+  ShardedBatchResult reference;
   {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 1;
     opts.rs.memory = MemoryBudget{2};
     opts.rs.use_kernels = true;
-    QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kSRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok());
     reference = std::move(*batch);
   }
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs.memory = MemoryBudget{2};
     opts.rs.use_kernels = true;
     opts.shared_scan = true;
     opts.shared_scan_group = 8;  // 64 queries -> 8 concurrent groups
     opts.cache_pages = prepared->stored.num_pages();
-    QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kSRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok());
@@ -313,7 +314,7 @@ void StressSharedScanBatch() {
 
 // Full engine: batch fan-out plus intra-query chunks on the same pool,
 // checked for worker-count independence.
-void StressQueryEngine() {
+void StressIntraQueryBatch() {
   Rng rng(1234);
   Rng data_rng = rng.Fork();
   Rng space_rng = rng.Fork();
@@ -331,15 +332,16 @@ void StressQueryEngine() {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kTRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  BatchResult reference;
+  ShardedBatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.rs.memory = MemoryBudget{2};
     opts.rs.num_threads = workers > 1 ? 2 : 1;
-    QueryEngine engine(*prepared, space, Algorithm::kTRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kTRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     if (!have_reference) {
@@ -353,7 +355,8 @@ void StressQueryEngine() {
       NMRS_CHECK(batch->results[i].stats.io == reference.results[i].stats.io);
     }
   }
-  std::printf("query engine: %zu queries identical across worker counts\n",
+  std::printf("intra-query batch: %zu queries identical across worker "
+              "counts\n",
               queries.size());
 }
 
@@ -379,20 +382,21 @@ void StressFaultBatch() {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kSRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   base.faults.seed = 4242;
   base.faults.transient_read_p = 0.03;
   base.faults.bad_pages.insert({prepared->stored.file(), 1});
   base.rs.resilience.retry.max_attempts = 2;
   base.max_query_retries = 1;
 
-  BatchResult reference;
+  ShardedBatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 8u, 8u}) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.num_workers = workers;
-    QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kSRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     for (size_t i = 0; i < queries.size(); ++i) {
@@ -407,7 +411,7 @@ void StressFaultBatch() {
     }
     NMRS_CHECK(batch->total_io == reference.total_io);
     NMRS_CHECK(batch->quarantined == reference.quarantined);
-    NMRS_CHECK_EQ(batch->queries_retried, reference.queries_retried);
+    NMRS_CHECK_EQ(batch->tasks_retried, reference.tasks_retried);
     for (size_t i = 0; i < queries.size(); ++i) {
       NMRS_CHECK(batch->results[i].rows == reference.results[i].rows);
       NMRS_CHECK(batch->results[i].stats.io == reference.results[i].stats.io);
@@ -418,7 +422,7 @@ void StressFaultBatch() {
   std::printf("fault batch: %zu queries, %llu retried, %zu quarantined, "
               "identical across worker counts\n",
               queries.size(),
-              static_cast<unsigned long long>(reference.queries_retried),
+              static_cast<unsigned long long>(reference.tasks_retried),
               reference.quarantined.size());
 }
 
@@ -505,20 +509,21 @@ void StressReplicaBatch() {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kSRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  QueryEngineOptions base;
+  EngineOptions base;
   base.rs.resilience.replicas = 2;
   FaultConfig dead;
   dead.seed = 6;
   dead.data_loss_p = 1.0;
   base.replica_faults = {dead, FaultConfig{}};
 
-  BatchResult reference;
+  ShardedBatchResult reference;
   bool have_reference = false;
   for (size_t workers : {1u, 8u, 8u}) {
-    QueryEngineOptions opts = base;
+    EngineOptions opts = base;
     opts.num_workers = workers;
-    QueryEngine engine(*prepared, space, Algorithm::kSRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kSRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();
@@ -575,15 +580,16 @@ void StressOverlayBatch() {
   SimulatedDisk disk;
   auto prepared = PrepareDataset(&disk, data, Algorithm::kBRS);
   NMRS_CHECK(prepared.ok()) << prepared.status();
+  const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
   // Per-user patched-space rebuild: the correctness oracle.
   std::vector<std::vector<std::vector<RowId>>> want(
       queries.size(), std::vector<std::vector<RowId>>(kUsers));
   for (size_t u = 0; u < kUsers; ++u) {
     SimilaritySpace patched = overlays[u].BuildPatchedSpace();
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = 1;
-    QueryEngine engine(*prepared, patched, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, patched, Algorithm::kBRS, opts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
     NMRS_CHECK(batch->ok()) << batch->first_error();
@@ -593,11 +599,11 @@ void StressOverlayBatch() {
   }
 
   for (size_t workers : {1u, 8u, 8u}) {
-    QueryEngineOptions opts;
+    EngineOptions opts;
     opts.num_workers = workers;
     opts.overlay_group = workers == 1 ? 3 : 16;
     opts.cache_pages = prepared->stored.num_pages();
-    QueryEngine engine(*prepared, space, Algorithm::kBRS, opts);
+    ShardedQueryEngine engine(one, space, Algorithm::kBRS, opts);
     auto ob = engine.RunOverlayBatch(queries, ptrs);
     NMRS_CHECK(ob.ok()) << ob.status();
     NMRS_CHECK(ob->ok()) << ob->first_error();
@@ -650,9 +656,9 @@ void StressShardedBatch() {
     ShardedBatchResult reference;
     bool have_reference = false;
     for (size_t workers : {1u, 8u, 8u}) {
-      ShardedEngineOptions opts;
-      opts.engine.num_workers = workers;
-      opts.engine.cache_pages = 32;
+      EngineOptions opts;
+      opts.num_workers = workers;
+      opts.cache_pages = 32;
       ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS, opts);
       auto batch = engine.RunBatch(queries);
       NMRS_CHECK(batch.ok()) << batch.status();
@@ -679,13 +685,13 @@ void StressShardedBatch() {
 
     // A dead replica 0 on every shard: page-granular failover must still
     // produce the same rows with all workers fighting over the exchange.
-    ShardedEngineOptions fopts;
-    fopts.engine.num_workers = 8;
-    fopts.engine.rs.resilience.replicas = 2;
+    EngineOptions fopts;
+    fopts.num_workers = 8;
+    fopts.rs.resilience.replicas = 2;
     FaultConfig dead;
     dead.seed = 6;
     dead.data_loss_p = 1.0;
-    fopts.engine.replica_faults = {dead, FaultConfig{}};
+    fopts.replica_faults = {dead, FaultConfig{}};
     ShardedQueryEngine engine(*sharded, space, Algorithm::kBRS, fopts);
     auto batch = engine.RunBatch(queries);
     NMRS_CHECK(batch.ok()) << batch.status();
@@ -807,7 +813,7 @@ int main() {
   nmrs::StressSharedBufferPool();
   nmrs::StressEngineWithSharedCache();
   nmrs::StressSharedScanBatch();
-  nmrs::StressQueryEngine();
+  nmrs::StressIntraQueryBatch();
   nmrs::StressFaultBatch();
   nmrs::StressConcurrentFailover();
   nmrs::StressReplicaBatch();

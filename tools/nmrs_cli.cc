@@ -61,7 +61,8 @@
 //       seals dataset pages with CRC-32C and verifies them on read,
 //       --retries sets the per-page transient retry budget,
 //       --max-query-retries re-runs failed queries on a clean view, and
-//       --fail-fast restores the old first-error batch semantics.
+//       --fail-fast reports only the first failed query's error instead of
+//       the per-query results.
 //       --replicas=N models N storage replicas with independent fault
 //       streams (ResiliencePolicy, seed base --replica-seed-base) and
 //       fails reads over page by page; --bad-replicas=r:loss_p restricts
@@ -595,7 +596,8 @@ int CmdQuery(const Flags& flags) {
   if (!batch.ok()) return Fail(batch.status().ToString());
   if (!batch->statuses()[0].ok()) return Fail(batch->statuses()[0].ToString());
 
-  if (batch->sharded) {
+  const bool sharded = dbopts.num_shards > 1;
+  if (sharded) {
     std::printf("RS(Q) via %s over %d %s shards: %zu rows\n",
                 std::string(AlgorithmName(*algo)).c_str(),
                 dbopts.shard_plan.num_shards,
@@ -610,7 +612,7 @@ int CmdQuery(const Flags& flags) {
     std::printf("  row %llu %s\n", static_cast<unsigned long long>(r),
                 setup->data.GetObject(r).ToString().c_str());
   }
-  if (batch->sharded) {
+  if (sharded) {
     std::printf("  %s\n",
                 ShardCandidateSummary(batch->sharded->breakdown[0]).c_str());
   }
@@ -727,8 +729,7 @@ int CmdBatch(const Flags& flags) {
 
   // The batch runs through the Database front door (docs/MUTABILITY.md):
   // Open prepares the dataset as generation 0, the engine options below
-  // shape the snapshot's executor exactly as they shaped the historical
-  // standalone QueryEngine / ShardedQueryEngine wiring.
+  // shape the snapshot's executor.
   DatabaseOptions dbopts;
   dbopts.algo = *algo;
   dbopts.prepare.checksum_pages = flags.count("checksum") != 0;
@@ -752,7 +753,7 @@ int CmdBatch(const Flags& flags) {
   if (!st.ok()) return Fail(st.ToString());
   eopts.max_query_retries =
       std::atoi(FlagOr(flags, "max-query-retries", "0").c_str());
-  eopts.fail_fast = flags.count("fail-fast") != 0;
+  const bool first_error_only = flags.count("fail-fast") != 0;
   eopts.shared_scan = flags.count("shared-scan") != 0;
   if (flags.count("shared-group") != 0) {
     auto group = ParseCount(flags, "shared-group", 16);
@@ -825,159 +826,102 @@ int CmdBatch(const Flags& flags) {
       total_entries += o.num_entries();
     }
 
-    // OverlayBatchResult and ShardedOverlayBatchResult expose the same
-    // telemetry surface; print either.
-    const auto print_overlay = [&](const auto& ob) -> int {
-      std::printf("overlay batch: %d queries x %zu users "
-                  "(%zu delta entries total)\n",
-                  k, ptrs.size(), total_entries);
-      for (int i = 0; i < k; ++i) {
-        if (!ob.statuses[i].ok()) {
-          std::printf("  Q%-3d %-20s FAILED: %s\n", i,
-                      queries[i].ToString().c_str(),
-                      ob.statuses[i].ToString().c_str());
-          continue;
-        }
-        std::string sizes;
-        const size_t show = std::min<size_t>(ob.results[i].size(), 16);
-        for (size_t u = 0; u < show; ++u) {
-          if (u > 0) sizes += ",";
-          sizes += std::to_string(ob.results[i][u].rows.size());
-        }
-        if (ob.results[i].size() > show) sizes += ",...";
-        std::printf("  Q%-3d %-20s |RS| per user = [%s]\n", i,
-                    queries[i].ToString().c_str(), sizes.c_str());
-      }
-      std::printf(
-          "rows: %llu overlay-sensitive + %llu invariant (user, row) pairs\n"
-          "re-checks: %llu scans, %llu candidate checks, %llu pair tests\n"
-          "overlay io: %llu seq + %llu rand pages  total io: %llu pages\n"
-          "wall %.1fms, modeled makespan %.1fms, modeled throughput %.2f "
-          "answers/s\n",
-          static_cast<unsigned long long>(ob.sensitive_rows),
-          static_cast<unsigned long long>(ob.invariant_rows),
-          static_cast<unsigned long long>(ob.recheck_scans),
-          static_cast<unsigned long long>(ob.recheck_checks),
-          static_cast<unsigned long long>(ob.recheck_pair_tests),
-          static_cast<unsigned long long>(ob.overlay_io.TotalSequential()),
-          static_cast<unsigned long long>(ob.overlay_io.TotalRandom()),
-          static_cast<unsigned long long>(ob.total_io.Total()),
-          ob.wall_millis, ob.ModeledMakespanMillis(), ob.ModeledQps());
-      if (!ob.ok()) {
-        std::fprintf(stderr, "some queries failed: %s\n",
-                     ob.first_error().ToString().c_str());
-        return 1;
-      }
-      return 0;
-    };
-
-    auto ob = snap->RunOverlayBatch(queries, ptrs);
-    if (!ob.ok()) return Fail(ob.status().ToString());
-    return ob->sharded ? print_overlay(*ob->sharded)
-                       : print_overlay(*ob->plain);
-  }
-
-  auto dbr = snap->RunBatch(queries);
-  if (!dbr.ok()) return Fail(dbr.status().ToString());
-
-  if (dbr->sharded) {
-    const ShardedBatchResult* batch = &*dbr->sharded;
-    std::printf("batch of %d %s queries on %zu workers x %d %s shards:\n", k,
-                std::string(AlgorithmName(*algo)).c_str(),
-                snap->sharded_engine()->num_workers(),
-                dbopts.shard_plan.num_shards,
-                std::string(ShardByName(dbopts.shard_plan.shard_by)).c_str());
+    auto dbo = snap->RunOverlayBatch(queries, ptrs);
+    if (!dbo.ok()) return Fail(dbo.status().ToString());
+    if (first_error_only && !dbo->ok()) {
+      return Fail(dbo->first_error().ToString());
+    }
+    const OverlayBatchResult& ob = *dbo->plain;
+    std::printf("overlay batch: %d queries x %zu users "
+                "(%zu delta entries total)\n",
+                k, ptrs.size(), total_entries);
     for (int i = 0; i < k; ++i) {
-      const QueryStats& s = batch->results[i].stats;
-      if (batch->statuses[i].ok()) {
-        std::printf("  Q%-3d %-20s |RS|=%-5zu %s\n", i,
+      if (!ob.statuses[i].ok()) {
+        std::printf("  Q%-3d %-20s FAILED: %s\n", i,
                     queries[i].ToString().c_str(),
-                    batch->results[i].rows.size(),
-                    ShardCandidateSummary(batch->breakdown[i]).c_str());
-      } else {
-        std::printf("  Q%-3d %-20s FAILED: %s (partial io %llu pages)\n", i,
-                    queries[i].ToString().c_str(),
-                    batch->statuses[i].ToString().c_str(),
-                    static_cast<unsigned long long>(s.io.Total()));
+                    ob.statuses[i].ToString().c_str());
+        continue;
       }
+      std::string sizes;
+      const size_t show = std::min<size_t>(ob.results[i].size(), 16);
+      for (size_t u = 0; u < show; ++u) {
+        if (u > 0) sizes += ",";
+        sizes += std::to_string(ob.results[i][u].rows.size());
+      }
+      if (ob.results[i].size() > show) sizes += ",...";
+      std::printf("  Q%-3d %-20s |RS| per user = [%s]\n", i,
+                  queries[i].ToString().c_str(), sizes.c_str());
     }
     std::printf(
-        "total io: %llu seq + %llu rand pages\n"
-        "exchange: %s (modeled %.2fms)\n"
+        "rows: %llu overlay-sensitive + %llu invariant (user, row) pairs\n"
+        "re-checks: %llu scans, %llu candidate checks, %llu pair tests\n"
+        "overlay io: %llu seq + %llu rand pages  total io: %llu pages\n"
         "wall %.1fms, modeled makespan %.1fms, modeled throughput %.2f "
-        "q/s\n",
-        static_cast<unsigned long long>(batch->total_io.TotalSequential()),
-        static_cast<unsigned long long>(batch->total_io.TotalRandom()),
-        batch->total_messages.ToString().c_str(),
-        batch->ExchangeModeledMillis(), batch->wall_millis,
-        batch->ModeledMakespanMillis(), batch->ModeledQps());
-    if (eopts.shared_scan) {
-      if (batch->shared_scan_groups != 0) {
-        std::printf(
-            "shared scans: %llu (group, shard) passes, %llu shared "
-            "batches, %llu shared pages\n",
-            static_cast<unsigned long long>(batch->shared_scan_groups),
-            static_cast<unsigned long long>(batch->shared_scan_batches),
-            static_cast<unsigned long long>(batch->shared_io.Total()));
-      } else {
-        std::printf("shared scans: fell back to per-query execution\n");
-      }
-    }
-    if (batch->total_io.transient_retries != 0 ||
-        batch->total_io.checksum_failures != 0 ||
-        batch->total_io.quarantined_pages != 0 ||
-        batch->total_io.failovers != 0) {
-      std::printf(
-          "faults: %llu transient retries, %llu checksum failures, "
-          "%llu quarantined page reads, %llu failovers\n",
-          static_cast<unsigned long long>(batch->total_io.transient_retries),
-          static_cast<unsigned long long>(batch->total_io.checksum_failures),
-          static_cast<unsigned long long>(batch->total_io.quarantined_pages),
-          static_cast<unsigned long long>(batch->total_io.failovers));
-    }
-    if (batch->total_io.ReplicaReadsTotal() != 0) {
-      std::printf("replica reads: %s\n",
-                  ReplicaReadsSummary(batch->total_io).c_str());
-    }
-    if (batch->tasks_retried != 0) {
-      std::printf("%llu shard tasks recovered via clean-view retry\n",
-                  static_cast<unsigned long long>(batch->tasks_retried));
-    }
-    if (!batch->ok()) {
-      std::fprintf(stderr, "%zu of %d queries failed\n", batch->num_failed(),
-                   k);
+        "answers/s\n",
+        static_cast<unsigned long long>(ob.sensitive_rows),
+        static_cast<unsigned long long>(ob.invariant_rows),
+        static_cast<unsigned long long>(ob.recheck_scans),
+        static_cast<unsigned long long>(ob.recheck_checks),
+        static_cast<unsigned long long>(ob.recheck_pair_tests),
+        static_cast<unsigned long long>(ob.overlay_io.TotalSequential()),
+        static_cast<unsigned long long>(ob.overlay_io.TotalRandom()),
+        static_cast<unsigned long long>(ob.total_io.Total()),
+        ob.wall_millis, ob.ModeledMakespanMillis(), ob.ModeledQps());
+    if (!ob.ok()) {
+      std::fprintf(stderr, "some queries failed: %s\n",
+                   ob.first_error().ToString().c_str());
       return 1;
     }
     return 0;
   }
 
-  const BatchResult* batch = &*dbr->plain;
-  std::printf("batch of %d %s queries on %zu workers:\n", k,
-              std::string(AlgorithmName(*algo)).c_str(),
-              snap->engine()->num_workers());
+  auto dbr = snap->RunBatch(queries);
+  if (!dbr.ok()) return Fail(dbr.status().ToString());
+  if (first_error_only && !dbr->ok()) {
+    return Fail(dbr->first_error().ToString());
+  }
+
+  const ShardedBatchResult& batch = *dbr->sharded;
+  const ShardedQueryEngine& engine = snap->engine();
+  const bool sharded = engine.num_shards() > 1;
+  std::printf("batch of %d %s queries on %zu workers", k,
+              std::string(AlgorithmName(*algo)).c_str(), engine.num_workers());
+  if (sharded) {
+    std::printf(" x %d %s shards", engine.num_shards(),
+                std::string(ShardByName(dbopts.shard_plan.shard_by)).c_str());
+  }
+  std::printf(":\n");
   for (int i = 0; i < k; ++i) {
-    const QueryStats& s = batch->results[i].stats;
-    if (batch->statuses[i].ok()) {
-      std::printf("  Q%-3d %-20s |RS|=%-5zu response=%.2fms\n", i,
-                  queries[i].ToString().c_str(),
-                  batch->results[i].rows.size(), s.ResponseMillis());
-    } else {
+    const QueryStats& s = batch.results[i].stats;
+    if (!batch.statuses[i].ok()) {
       std::printf("  Q%-3d %-20s FAILED: %s (partial io %llu pages)\n", i,
                   queries[i].ToString().c_str(),
-                  batch->statuses[i].ToString().c_str(),
+                  batch.statuses[i].ToString().c_str(),
                   static_cast<unsigned long long>(s.io.Total()));
+    } else if (sharded) {
+      std::printf("  Q%-3d %-20s |RS|=%-5zu %s\n", i,
+                  queries[i].ToString().c_str(), batch.results[i].rows.size(),
+                  ShardCandidateSummary(batch.breakdown[i]).c_str());
+    } else {
+      std::printf("  Q%-3d %-20s |RS|=%-5zu response=%.2fms\n", i,
+                  queries[i].ToString().c_str(), batch.results[i].rows.size(),
+                  s.ResponseMillis());
     }
   }
+  std::printf("total io: %llu seq + %llu rand pages\n",
+              static_cast<unsigned long long>(batch.total_io.TotalSequential()),
+              static_cast<unsigned long long>(batch.total_io.TotalRandom()));
+  if (sharded) {
+    std::printf("exchange: %s (modeled %.2fms)\n",
+                batch.total_messages.ToString().c_str(),
+                batch.ExchangeModeledMillis());
+  }
   std::printf(
-      "total io: %llu seq + %llu rand pages\n"
       "wall %.1fms, modeled makespan %.1fms, modeled throughput %.2f q/s\n",
-      static_cast<unsigned long long>(batch->total_io.TotalSequential()),
-      static_cast<unsigned long long>(batch->total_io.TotalRandom()),
-      batch->wall_millis, batch->ModeledMakespanMillis(),
-      batch->ModeledQps());
+      batch.wall_millis, batch.ModeledMakespanMillis(), batch.ModeledQps());
   if (eopts.rs.use_kernels) {
     uint64_t kchecks = 0, promos = 0, scalar_rows = 0, block_rows = 0;
-    for (const auto& r : batch->results) {
+    for (const auto& r : batch.results) {
       kchecks += r.stats.kernel_checks;
       promos += r.stats.kernel_promotions;
       scalar_rows += r.stats.kernel_scalar_rows;
@@ -991,54 +935,54 @@ int CmdBatch(const Flags& flags) {
                 static_cast<unsigned long long>(block_rows));
   }
   if (eopts.shared_scan) {
-    if (batch->shared_scan_groups != 0) {
-      std::printf("shared scans: %llu groups, %llu shared batches, "
-                  "%llu shared pages\n",
-                  static_cast<unsigned long long>(batch->shared_scan_groups),
-                  static_cast<unsigned long long>(batch->shared_scan_batches),
-                  static_cast<unsigned long long>(batch->shared_io.Total()));
+    if (batch.shared_scan_groups != 0) {
+      std::printf("shared scans: %llu (group, shard) passes, %llu shared "
+                  "batches, %llu shared pages\n",
+                  static_cast<unsigned long long>(batch.shared_scan_groups),
+                  static_cast<unsigned long long>(batch.shared_scan_batches),
+                  static_cast<unsigned long long>(batch.shared_io.Total()));
     } else {
       std::printf("shared scans: fell back to per-query execution\n");
     }
   }
-  if (batch->total_io.transient_retries != 0 ||
-      batch->total_io.checksum_failures != 0 ||
-      batch->total_io.quarantined_pages != 0 ||
-      batch->total_io.failovers != 0) {
-    std::printf("faults: %llu transient retries, %llu checksum failures, "
-                "%llu quarantined page reads, %llu failovers\n",
-                static_cast<unsigned long long>(
-                    batch->total_io.transient_retries),
-                static_cast<unsigned long long>(
-                    batch->total_io.checksum_failures),
-                static_cast<unsigned long long>(
-                    batch->total_io.quarantined_pages),
-                static_cast<unsigned long long>(batch->total_io.failovers));
+  if (batch.total_io.transient_retries != 0 ||
+      batch.total_io.checksum_failures != 0 ||
+      batch.total_io.quarantined_pages != 0 ||
+      batch.total_io.failovers != 0) {
+    std::printf(
+        "faults: %llu transient retries, %llu checksum failures, "
+        "%llu quarantined page reads, %llu failovers\n",
+        static_cast<unsigned long long>(batch.total_io.transient_retries),
+        static_cast<unsigned long long>(batch.total_io.checksum_failures),
+        static_cast<unsigned long long>(batch.total_io.quarantined_pages),
+        static_cast<unsigned long long>(batch.total_io.failovers));
   }
-  if (batch->total_io.ReplicaReadsTotal() != 0) {
+  if (batch.total_io.ReplicaReadsTotal() != 0) {
     std::printf("replica reads: %s\n",
-                ReplicaReadsSummary(batch->total_io).c_str());
+                ReplicaReadsSummary(batch.total_io).c_str());
   }
-  if (!batch->quarantined.empty()) {
+  if (!batch.quarantined.empty()) {
     std::printf("quarantined pages:");
-    for (const auto& [file, page] : batch->quarantined) {
+    for (const auto& [file, page] : batch.quarantined) {
       std::printf(" %u:%llu", file, static_cast<unsigned long long>(page));
     }
     std::printf("\n");
   }
-  if (batch->queries_retried != 0) {
-    std::printf("%llu queries recovered via clean-view retry\n",
-                static_cast<unsigned long long>(batch->queries_retried));
+  if (batch.tasks_retried != 0) {
+    std::printf("%llu %s recovered via clean-view retry\n",
+                static_cast<unsigned long long>(batch.tasks_retried),
+                sharded ? "shard tasks" : "queries");
   }
-  if (snap->engine()->buffer_pool() != nullptr) {
-    std::printf("cache (%llu pages): %s\n",
-                static_cast<unsigned long long>(
-                    snap->engine()->buffer_pool()->capacity_pages()),
-                snap->engine()->buffer_pool()->stats().ToString().c_str());
+  for (int s = 0; s < engine.num_shards(); ++s) {
+    const BufferPool* pool = engine.buffer_pool(s);
+    if (pool == nullptr) continue;
+    std::printf("cache%s (%llu pages): %s\n",
+                sharded ? (" shard " + std::to_string(s)).c_str() : "",
+                static_cast<unsigned long long>(pool->capacity_pages()),
+                pool->stats().ToString().c_str());
   }
-  if (!batch->ok()) {
-    std::fprintf(stderr, "%zu of %d queries failed\n", batch->num_failed(),
-                 k);
+  if (!batch.ok()) {
+    std::fprintf(stderr, "%zu of %d queries failed\n", batch.num_failed(), k);
     return 1;
   }
   return 0;
