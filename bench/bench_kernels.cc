@@ -174,8 +174,8 @@ E2eInstance MakeE2eInstance(const Args& args, int num_queries) {
   Rng drng = rng.Fork();
   Rng srng = rng.Fork();
   const std::vector<size_t> cards = {32, 32, 32, 32};
-  // Paper-scale 1M rows: --quick runs a 5k-row slice, the committed
-  // artifact (full mode, default scale) runs 50k rows.
+  // Paper-scale 1M rows: the committed artifact (full mode, default
+  // scale) runs all of them, --quick a 100k-row slice.
   const uint64_t rows = args.Rows(1'000'000);
   E2eInstance inst{GenerateUniform(rows, cards, drng), {}, {}, rows};
   for (size_t c : cards) {

@@ -8,7 +8,9 @@
 #                concurrent replica-failover / shared-pool stress
 #   3. asan    — Address+UBSan build of the gtest-free binaries; the fault
 #                path exercises checksum verification, retry loops and
-#                quarantine under instrumentation
+#                quarantine under instrumentation, and the ring soak
+#                (tests/core/ring_soak.cc) runs the kernels' block-edge
+#                indexing and 32-bit mask shifts against the scalar loops
 #   4. chaos   — full 500-config fault-injection soak on the plain build
 #                (a 25-config slice already ran inside stage 1's ctest)
 #   5. replica — chaos sweep restricted to multi-replica configs: one
@@ -54,11 +56,13 @@ cmake -B build-tsan -S . -DNMRS_TSAN=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build build-tsan -j"${JOBS}" --target exec_stress
 ./build-tsan/tests/exec_stress
 
-echo "=== Address+UBSan build (exec_stress + chaos_soak slice) ==="
+echo "=== Address+UBSan build (exec_stress + chaos_soak slice + ring_soak) ==="
 cmake -B build-asan -S . -DNMRS_ASAN=ON -DCMAKE_BUILD_TYPE=Debug
-cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak
+cmake --build build-asan -j"${JOBS}" --target exec_stress --target chaos_soak \
+  --target ring_soak
 ./build-asan/tests/exec_stress
 ./build-asan/tests/chaos_soak --configs=50 --mutations=10
+./build-asan/tests/ring_soak --configs=2000
 
 echo "=== chaos soak (full 500-config sweep + WAL/compaction faults) ==="
 ./build/tests/chaos_soak --configs=500 --mutations=100

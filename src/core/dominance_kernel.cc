@@ -273,6 +273,22 @@ const LaneFns& FnsFor(KernelDispatch d) {
   return kScalarFns;
 }
 
+// Bits [lo, lo + cnt) of a block mask; cnt == 32 needs lo == 0.
+inline uint32_t RangeMask(size_t lo, size_t cnt) {
+  return cnt >= 32 ? ~0u : ((1u << cnt) - 1u) << lo;
+}
+
+// The scalar check total of the rows in `visited`: each row's count is the
+// number of EvalMasks survivor masks holding its bit.
+inline uint64_t MaskedChecks(const uint32_t* masks, size_t levels,
+                             uint32_t visited) {
+  uint64_t nch = 0;
+  for (size_t l = 0; l < levels; ++l) {
+    nch += static_cast<uint64_t>(__builtin_popcount(masks[l] & visited));
+  }
+  return nch;
+}
+
 }  // namespace
 
 KernelDispatch ActiveKernelDispatch() {
@@ -384,7 +400,7 @@ DominanceKernel::DominanceKernel(const PruneContext& ctx,
   group_epoch_.assign(num_groups_, 0);
   prunes_.assign(cols.size(), 0);
   nchecks_.assign(cols.size(), 0);
-  bulk_active_.assign(ctx.num_selected(), 0);
+  masks_.assign(2 * (ctx.num_selected() + 1), 0);
   promoted_ = policy_.promote_rows == 0;
 }
 
@@ -421,18 +437,18 @@ bool DominanceKernel::ProbeRow(size_t j, uint32_t* nch) const {
   return strict;
 }
 
-void DominanceKernel::EvalRows(size_t begin, size_t n,
-                               uint32_t init_active) {
+size_t DominanceKernel::EvalMasks(size_t begin, size_t n,
+                                  uint32_t init_active, uint32_t* masks,
+                                  uint32_t* pruners) {
   const size_t m = ctx_->num_selected();
   const LaneFns& fns = FnsFor(dispatch_);
-  uint32_t active = init_active;
-  uint32_t strict_any = 0;
-  uint16_t* nch = nchecks_.data() + begin;
-  uint8_t* pr = prunes_.data() + begin;
-  block_rows_ += static_cast<uint64_t>(__builtin_popcount(init_active));
   const size_t block = begin / kBlockRows;
   const size_t block_off = begin - block * kBlockRows;
-  for (size_t k = 0; k < m && active != 0; ++k) {
+  uint32_t active = init_active;
+  uint32_t strict_any = 0;
+  size_t k = 0;
+  for (; k < m && active != 0; ++k) {
+    masks[k] = active;
     const AttrId a = ctx_->selected()[k];
     uint32_t viol = 0, strict = 0;
     if (shared_ != nullptr) {
@@ -448,33 +464,48 @@ void DominanceKernel::EvalRows(size_t begin, size_t n,
               ctx_->QueryDist(k), &viol, &strict);
     }
     kernel_checks_ += static_cast<uint64_t>(__builtin_popcount(active));
-    // Rows violated now did their last scalar-equivalent check at k.
-    uint32_t newly = active & viol;
-    while (newly != 0) {
-      const unsigned w = static_cast<unsigned>(__builtin_ctz(newly));
-      newly &= newly - 1;
-      nch[w] = static_cast<uint16_t>(k + 1);
-    }
     strict_any |= strict;
     active &= ~viol;
   }
-  // Rows that survived every attribute made all m checks; they prune iff
-  // some attribute was strictly closer (the scalar loop's `strict` flag —
-  // strict bits of violated rows are irrelevant, their prune bit is 0).
+  // Survivors prune iff some attribute was strictly closer (the scalar
+  // loop's `strict` flag — strict bits of violated rows are irrelevant).
+  masks[k] = active;
+  *pruners = active & strict_any;
+  return k;
+}
+
+void DominanceKernel::EvalRows(size_t begin, size_t n,
+                               uint32_t init_active) {
+  const size_t m = ctx_->num_selected();
+  uint16_t* nch = nchecks_.data() + begin;
+  uint8_t* pr = prunes_.data() + begin;
+  block_rows_ += static_cast<uint64_t>(__builtin_popcount(init_active));
+  uint32_t pruners;
+  const size_t levels =
+      EvalMasks(begin, n, init_active, masks_.data(), &pruners);
+  // Rows alive entering attribute k but not k+1 did their last
+  // scalar-equivalent check at k; survivors (masks_[levels]) made all m.
   // Only the requested rows are written: other rows of the window may
   // carry results from an earlier (narrower) evaluation.
-  const uint32_t pruners = active & strict_any;
-  uint32_t rest = init_active;
-  while (rest != 0) {
-    const unsigned w = static_cast<unsigned>(__builtin_ctz(rest));
-    rest &= rest - 1;
-    pr[w] = static_cast<uint8_t>((pruners >> w) & 1u);
+  for (size_t k = 0; k < levels; ++k) {
+    uint32_t last = masks_[k] & ~masks_[k + 1];
+    while (last != 0) {
+      const unsigned w = static_cast<unsigned>(__builtin_ctz(last));
+      last &= last - 1;
+      nch[w] = static_cast<uint16_t>(k + 1);
+    }
   }
-  rest = active;
+  uint32_t rest = masks_[levels];
   while (rest != 0) {
     const unsigned w = static_cast<unsigned>(__builtin_ctz(rest));
     rest &= rest - 1;
     nch[w] = static_cast<uint16_t>(m);
+  }
+  rest = init_active;
+  while (rest != 0) {
+    const unsigned w = static_cast<unsigned>(__builtin_ctz(rest));
+    rest &= rest - 1;
+    pr[w] = static_cast<uint8_t>((pruners >> w) & 1u);
   }
 }
 
@@ -505,8 +536,6 @@ uint64_t DominanceKernel::CountPruners(size_t begin, size_t end,
                                        uint64_t* checks) {
   uint64_t pruners = 0;
   uint64_t nch = 0;
-  const size_t m = ctx_->num_selected();
-  const LaneFns& fns = FnsFor(dispatch_);
   size_t j = begin;
   // Partial blocks at the edges go through the cached per-row path.
   while (j < end && j % kBlockRows != 0) {
@@ -523,33 +552,10 @@ uint64_t DominanceKernel::CountPruners(size_t begin, size_t end,
   // (and their later re-reads) is what makes bulk counting memory-lean on
   // batches that outgrow L1.
   for (; j + kBlockRows <= end; j += kBlockRows) {
-    uint32_t active = ~0u;
-    uint32_t strict_any = 0;
-    for (size_t k = 0; k < m && active != 0; ++k) {
-      const AttrId a = ctx_->selected()[k];
-      uint32_t viol = 0, strict = 0;
-      if (shared_ != nullptr) {
-        const double* lhs = shared_->EnsureLhs(k, j / kBlockRows);
-        fns.cmp(lhs, kBlockRows, active, ctx_->QueryDist(k), &viol,
-                &strict);
-      } else if (ctx_->SelectedIsNumeric(k)) {
-        fns.num(cols_->numerics(a) + j, kBlockRows, active,
-                ctx_->candidate_numerics()[a],
-                ctx_->space().numeric(a).scale(), ctx_->QueryDist(k), &viol,
-                &strict);
-      } else {
-        fns.cat(ctx_->CandidateColumn(k), cols_->values(a) + j, kBlockRows,
-                active, ctx_->QueryDist(k), &viol, &strict);
-      }
-      const uint64_t alive =
-          static_cast<uint64_t>(__builtin_popcount(active));
-      kernel_checks_ += alive;
-      nch += alive;
-      strict_any |= strict;
-      active &= ~viol;
-    }
-    pruners +=
-        static_cast<uint64_t>(__builtin_popcount(active & strict_any));
+    uint32_t pr;
+    const size_t levels = EvalMasks(j, kBlockRows, ~0u, masks_.data(), &pr);
+    nch += MaskedChecks(masks_.data(), levels, ~0u);
+    pruners += static_cast<uint64_t>(__builtin_popcount(pr));
   }
   for (; j < end; ++j) {
     EnsureRow(j);
@@ -580,55 +586,15 @@ bool DominanceKernel::BulkWindow(size_t begin, size_t n,
   // survives into, and summing over rows is one popcount per attribute.
   // Restricting the popcounts to the lanes at or before the first pruner
   // reproduces the early-aborting loop's stop exactly.
-  const size_t m = ctx_->num_selected();
-  const LaneFns& fns = FnsFor(dispatch_);
-  const uint32_t full = n >= 32 ? ~0u : ((1u << n) - 1u);
-  uint32_t active = full;
-  uint32_t strict_any = 0;
   block_rows_ += static_cast<uint64_t>(n);
-  const size_t block = begin / kBlockRows;
-  const size_t block_off = begin - block * kBlockRows;
-  size_t k = 0;
-  for (; k < m && active != 0; ++k) {
-    bulk_active_[k] = active;
-    const AttrId a = ctx_->selected()[k];
-    uint32_t viol = 0, strict = 0;
-    if (shared_ != nullptr) {
-      const double* lhs = shared_->EnsureLhs(k, block) + block_off;
-      fns.cmp(lhs, n, active, ctx_->QueryDist(k), &viol, &strict);
-    } else if (ctx_->SelectedIsNumeric(k)) {
-      fns.num(cols_->numerics(a) + begin, n, active,
-              ctx_->candidate_numerics()[a],
-              ctx_->space().numeric(a).scale(), ctx_->QueryDist(k), &viol,
-              &strict);
-    } else {
-      fns.cat(ctx_->CandidateColumn(k), cols_->values(a) + begin, n, active,
-              ctx_->QueryDist(k), &viol, &strict);
-    }
-    kernel_checks_ += static_cast<uint64_t>(__builtin_popcount(active));
-    strict_any |= strict;
-    active &= ~viol;
-  }
-  const size_t levels = k;
-  const uint32_t pruners = active & strict_any;
-  uint64_t nch = 0;
-  if (pruners == 0) {
-    *pair_tests += n;
-    for (size_t l = 0; l < levels; ++l) {
-      nch += static_cast<uint64_t>(__builtin_popcount(bulk_active_[l]));
-    }
-    *checks += nch;
-    return false;
-  }
-  const unsigned f = static_cast<unsigned>(__builtin_ctz(pruners));
-  const uint32_t upto = f >= 31 ? ~0u : ((1u << (f + 1)) - 1u);
-  *pair_tests += f + 1;
-  for (size_t l = 0; l < levels; ++l) {
-    nch += static_cast<uint64_t>(
-        __builtin_popcount(bulk_active_[l] & upto));
-  }
-  *checks += nch;
-  return true;
+  uint32_t pruners;
+  const size_t levels =
+      EvalMasks(begin, n, RangeMask(0, n), masks_.data(), &pruners);
+  const size_t visited =
+      pruners != 0 ? static_cast<size_t>(__builtin_ctz(pruners)) + 1 : n;
+  *pair_tests += visited;
+  *checks += MaskedChecks(masks_.data(), levels, RangeMask(0, visited));
+  return pruners != 0;
 }
 
 bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
@@ -640,22 +606,7 @@ bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
   for (; j < end && !promoted_; ++j) {
     if (ids[j] == skip_id) continue;
     ++*pair_tests;
-    bool p;
-    if (GroupReady(j >> 3)) {
-      // Already block-evaluated (an external RowPrunes touch): reuse.
-      *checks += nchecks_[j];
-      p = prunes_[j] != 0;
-    } else {
-      uint32_t nch;
-      p = ProbeRow(j, &nch);
-      ++scalar_rows_;
-      *checks += nch;
-    }
-    if (p) return true;
-    if (++survived_ >= policy_.promote_rows) {
-      promoted_ = true;
-      ++promotions_;
-    }
+    if (ProbeStep(j, checks)) return true;
   }
   // Post-promotion: window at a time. Windows fully inside the range with
   // no prior evaluation and no skipped row take the bulk path; the rest
@@ -699,22 +650,8 @@ DominanceKernel::ProbeResult DominanceKernel::ProbeForward(
   for (size_t j = begin; j < end; ++j) {
     if (ids[j] == skip_id) continue;
     ++*pair_tests;
-    bool p;
-    if (GroupReady(j >> 3)) {
-      *checks += nchecks_[j];
-      p = prunes_[j] != 0;
-    } else {
-      uint32_t nch;
-      p = ProbeRow(j, &nch);
-      ++scalar_rows_;
-      *checks += nch;
-    }
-    if (p) return ProbeResult::kPruner;
-    if (++survived_ >= policy_.promote_rows) {
-      promoted_ = true;
-      ++promotions_;
-      return ProbeResult::kPromoted;
-    }
+    if (ProbeStep(j, checks)) return ProbeResult::kPruner;
+    if (promoted_) return ProbeResult::kPromoted;
   }
   return ProbeResult::kExhausted;
 }
@@ -724,34 +661,109 @@ bool DominanceKernel::FindPrunerRing(size_t center, RowId skip_id,
                                      uint64_t* checks) {
   const size_t n = cols_->size();
   const RowId* ids = cols_->ids();
-  auto try_row = [&](size_t j) {
-    if (ids[j] == skip_id) return false;
-    ++*pair_tests;
-    if (!promoted_) {
-      bool p;
-      if (GroupReady(j >> 3)) {
-        *checks += nchecks_[j];
-        p = prunes_[j] != 0;
-      } else {
-        uint32_t nch;
-        p = ProbeRow(j, &nch);
-        ++scalar_rows_;
-        *checks += nch;
-      }
-      if (p) return true;
-      if (++survived_ >= policy_.promote_rows) {
-        promoted_ = true;
-        ++promotions_;
-      }
-      return false;
+  // Pre-promotion: the exact scalar early-abort loop in ring order.
+  size_t off = 1;
+  for (; off < n && !promoted_; ++off) {
+    if (off <= center && ids[center - off] != skip_id) {
+      ++*pair_tests;
+      if (ProbeStep(center - off, checks)) return true;
     }
-    EnsureRow(j);
-    *checks += nchecks_[j];
-    return prunes_[j] != 0;
+    const size_t r = center + off;
+    if (r < n && ids[r] != skip_id) {
+      ++*pair_tests;
+      if (!promoted_) {
+        if (ProbeStep(r, checks)) return true;
+      } else {
+        // Promoted on this offset's left row: its right row is the one
+        // row visited through the per-row artifacts.
+        EnsureRow(r);
+        *checks += nchecks_[r];
+        if (prunes_[r]) return true;
+      }
+    }
+  }
+  return BulkRing(center, off, skip_id, pair_tests, checks);
+}
+
+bool DominanceKernel::BulkRing(size_t center, size_t off, RowId skip_id,
+                               uint64_t* pair_tests, uint64_t* checks) {
+  const size_t n = cols_->size();
+  const size_t stride = ctx_->num_selected() + 1;
+  const RowId* ids = cols_->ids();
+  // Per side (0 = left, 1 = right): the aligned block evaluated, its
+  // EvalMasks survivor masks and levels, and its pruner mask.
+  size_t block[2] = {~size_t{0}, ~size_t{0}};
+  uint32_t* masks[2] = {masks_.data(), masks_.data() + stride};
+  size_t levels[2] = {0, 0};
+  uint32_t pruners[2] = {0, 0};
+  // Rows [lo, hi) of block b minus those carrying the skipped id.
+  auto wanted = [&](size_t b, size_t lo, size_t hi) {
+    uint32_t want = RangeMask(lo, hi - lo);
+    for (size_t w = lo; w < hi; ++w) {
+      if (ids[b * kBlockRows + w] == skip_id) want &= ~(1u << w);
+    }
+    return want;
   };
-  for (size_t off = 1; off < n; ++off) {
-    if (off <= center && try_row(center - off)) return true;
-    if (center + off < n && try_row(center + off)) return true;
+  auto eval = [&](int s, size_t b, uint32_t want) {
+    const size_t begin = b * kBlockRows;
+    block[s] = b;
+    block_rows_ += static_cast<uint64_t>(__builtin_popcount(want));
+    levels[s] = EvalMasks(begin, std::min(kBlockRows, n - begin), want,
+                          masks[s], &pruners[s]);
+  };
+  // Adds the scalar accounting of side s's rows in `visited`.
+  auto account = [&](int s, uint32_t visited) {
+    *pair_tests +=
+        static_cast<uint64_t>(__builtin_popcount(visited & masks[s][0]));
+    *checks += MaskedChecks(masks[s], levels[s], visited);
+  };
+  while (off <= center || center + off < n) {
+    // This offset's bit in each side's block; the left side walks down to
+    // bit 0, the right side up to its block's end, and a span of offsets
+    // stays inside both blocks.
+    const bool has_l = off <= center, has_r = center + off < n;
+    const size_t lb = has_l ? (center - off) / kBlockRows : 0;
+    const size_t rb = has_r ? (center + off) / kBlockRows : 0;
+    const size_t pl = has_l ? center - off - lb * kBlockRows : 0;
+    const size_t pr = has_r ? center + off - rb * kBlockRows : 0;
+    const size_t rend = has_r ? std::min(kBlockRows, n - rb * kBlockRows) : 0;
+    const size_t span = std::min(has_l ? pl + 1 : kBlockRows,
+                                 has_r ? rend - pr : kBlockRows);
+    const bool new_l = has_l && lb != block[0];
+    const bool new_r = has_r && rb != block[1];
+    if (new_l && new_r && lb == rb) {
+      // Both sides start in the candidate's own block: one evaluation of
+      // the rows left and right of the probed stretch, copied to both.
+      eval(0, lb, wanted(lb, 0, pl + 1) | wanted(rb, pr, rend));
+      block[1] = rb;
+      levels[1] = levels[0];
+      pruners[1] = pruners[0];
+      std::copy(masks[0], masks[0] + levels[0] + 1, masks[1]);
+    } else {
+      if (new_l) eval(0, lb, wanted(lb, 0, pl + 1));
+      if (new_r) eval(1, rb, wanted(rb, pr, rend));
+    }
+    const uint32_t lspan = has_l ? RangeMask(pl + 1 - span, span) : 0;
+    const uint32_t rspan = has_r ? RangeMask(pr, span) : 0;
+    const uint32_t lp = pruners[0] & lspan;
+    const uint32_t rp = pruners[1] & rspan;
+    if ((lp | rp) == 0) {
+      account(0, lspan);
+      account(1, rspan);
+      off += span;
+      continue;
+    }
+    // Offsets (from `off`) of each side's nearest pruner; the ring visits
+    // an offset's left row first, so the left side wins a tie.
+    constexpr size_t kNone = ~size_t{0};
+    const size_t tl =
+        lp != 0 ? pl - (31 - static_cast<size_t>(__builtin_clz(lp))) : kNone;
+    const size_t tr =
+        rp != 0 ? static_cast<size_t>(__builtin_ctz(rp)) - pr : kNone;
+    const size_t t = std::min(tl, tr);
+    account(0, has_l ? RangeMask(pl - t, t + 1) : 0);
+    account(1, has_r ? RangeMask(pr, tl <= tr ? t : t + 1) : 0);
+    return true;
   }
   return false;
 }

@@ -2,7 +2,6 @@
 #define NMRS_CORE_DOMINANCE_KERNEL_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/types.h"
@@ -35,8 +34,9 @@ void ForceScalarKernelDispatchForTest(bool force);
 /// amortize — do the Find* adapters switch to evaluating `block_rows` rows
 /// at a time through the lane evaluators. promote_rows == 0 promotes
 /// immediately (the pre-adaptive always-block behavior). `block_rows`
-/// selects the evaluation window: 32 for forward scans, 8 for
-/// expanding-ring and leaf scans whose per-candidate visit runs are short.
+/// selects the window the forward scan and the per-row path (RowPrunes,
+/// RowChecks) evaluate: 32 rows (one bitmask word) or one 8-row group.
+/// Ring scans ignore it and always evaluate aligned 32-row blocks.
 struct KernelPolicy {
   uint32_t promote_rows = 0;
   uint32_t block_rows = 32;
@@ -118,10 +118,11 @@ class SharedCandidateCache {
 /// plain scalar loop. The Find* adapters therefore start every candidate
 /// on an exact replica of the scalar early-aborting loop and promote it to
 /// block evaluation only after it survives KernelPolicy::promote_rows
-/// tests. Evaluation is group-granular (8-row groups tracked separately),
-/// so a promoted candidate computes 8- or 32-row windows
-/// (KernelPolicy::block_rows) without re-evaluating probed groups. The
-/// promotion decision depends only on verdicts, which are
+/// tests. Per-row evaluation is group-granular (8-row groups tracked
+/// separately), so a row touched by RowPrunes computes its 8- or 32-row
+/// window (KernelPolicy::block_rows) once; the promoted forward and ring
+/// scans instead evaluate whole blocks masks-only (BulkWindow, BulkRing).
+/// The promotion decision depends only on verdicts, which are
 /// dispatch-invariant — so promotions, scalar/block row splits and
 /// kernel_checks all agree between the AVX2 and portable paths.
 ///
@@ -195,21 +196,13 @@ class DominanceKernel {
   ProbeResult ProbeForward(size_t begin, size_t end, RowId skip_id,
                            uint64_t* pair_tests, uint64_t* checks);
 
-  /// Expanding-ring scan around `center` (offsets +-1, +-2, ..., the SRS
-  /// phase-1 order): same contract as FindPrunerForward.
+  /// Expanding-ring scan around `center` (offsets +-1, +-2, ..., left row
+  /// before right row at each offset — the SRS phase-1 order): same
+  /// contract as FindPrunerForward. Once the candidate is promoted, both
+  /// sides advance through their aligned 32-row blocks masks-only (see
+  /// BulkRing).
   bool FindPrunerRing(size_t center, RowId skip_id, uint64_t* pair_tests,
                       uint64_t* checks);
-
-  /// Turns off promotion for every subsequent candidate: the scalar probe
-  /// runs to completion instead of graduating to block windows. Callers'
-  /// futility policies use this when a trial shows block evaluation is not
-  /// paying for the workload at hand (e.g. ring scans whose candidates
-  /// routinely survive their neighborhood). Verdicts and accounting are
-  /// unaffected — only the evaluation strategy changes. Takes effect at
-  /// the next BeginCandidate().
-  void DisablePromotion() {
-    policy_.promote_rows = std::numeric_limits<uint32_t>::max();
-  }
 
   /// Bulk evaluation of rows [begin, end) with no early exit: computes
   /// every block, adds the scalar-equivalent check count of every row to
@@ -248,6 +241,15 @@ class DominanceKernel {
   // Lane evaluation of rows [begin, begin+n) restricted to `init_active`
   // (bit w = row begin+w), filling prunes_/nchecks_ for those rows.
   void EvalRows(size_t begin, size_t n, uint32_t init_active);
+  // The one lane-evaluation loop of every block path: rows
+  // [begin, begin+n) of one aligned 32-row block, restricted to
+  // `init_active`. Returns the number L of attributes processed (the loop
+  // stops once no row is alive); masks[k] gets the rows alive entering
+  // attribute k and masks[L] the survivors, so a row's scalar check count
+  // is the number of masks[0..L) holding its bit. *pruners gets the
+  // survivors strictly closer somewhere. Adds the lanes to kernel_checks_.
+  size_t EvalMasks(size_t begin, size_t n, uint32_t init_active,
+                   uint32_t* masks, uint32_t* pruners);
   // A group's artifacts are valid iff it was evaluated for the current
   // candidate. Epochs make BeginCandidate O(1) — with one kernel check per
   // candidate over thousands of candidates per batch, clearing a per-group
@@ -261,6 +263,28 @@ class DominanceKernel {
   // Exact scalar probe of row j: same loads, compares and early-abort as
   // PruneContext::Prunes on the current candidate.
   bool ProbeRow(size_t j, uint32_t* nch) const;
+  // One pre-promotion row of the Find*/Probe* adapters: returns row j's
+  // verdict and adds its scalar check count (reusing the row's artifacts
+  // when its group is already evaluated); a surviving row counts toward
+  // promotion.
+  inline bool ProbeStep(size_t j, uint64_t* checks) {
+    bool p;
+    if (GroupReady(j >> 3)) {
+      // Already block-evaluated (an external RowPrunes touch): reuse.
+      *checks += nchecks_[j];
+      p = prunes_[j] != 0;
+    } else {
+      uint32_t nch;
+      p = ProbeRow(j, &nch);
+      ++scalar_rows_;
+      *checks += nch;
+    }
+    if (!p && ++survived_ >= policy_.promote_rows) {
+      promoted_ = true;
+      ++promotions_;
+    }
+    return p;
+  }
   // Bulk evaluation of the whole window [begin, begin+n) with no per-row
   // artifacts, used by the promoted forward scan. Adds the exact scalar
   // accounting (stopping at the first pruner like the early-aborting
@@ -268,6 +292,13 @@ class DominanceKernel {
   // not contain the skipped row or any already-evaluated group.
   bool BulkWindow(size_t begin, size_t n, uint64_t* pair_tests,
                   uint64_t* checks);
+  // The promoted ring scan from offset `off` on: each side evaluates its
+  // current aligned 32-row block once (masks only, skip_id rows masked
+  // out), then both sides advance through equal offset spans inside their
+  // blocks. A span's scalar accounting is popcounts over the masks up to
+  // the ring-first pruner: the nearest offset, the left row winning ties.
+  bool BulkRing(size_t center, size_t off, RowId skip_id,
+                uint64_t* pair_tests, uint64_t* checks);
 
   const PruneContext* ctx_;
   const ColumnarBatch* cols_;
@@ -279,7 +310,9 @@ class DominanceKernel {
   std::vector<uint64_t> group_epoch_;   // per 8-row group: last evaluation
   std::vector<uint8_t> prunes_;         // per row, current candidate
   std::vector<uint16_t> nchecks_;       // per row, scalar-equivalent checks
-  std::vector<uint32_t> bulk_active_;   // per attribute, BulkWindow scratch
+  // EvalMasks output, m + 1 words per side of a ring scan; the other
+  // block paths use the first.
+  std::vector<uint32_t> masks_;
   // Adaptive per-candidate state.
   uint32_t survived_ = 0;
   bool promoted_ = true;

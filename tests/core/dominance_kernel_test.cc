@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "core/dominance.h"
@@ -206,70 +209,237 @@ TEST(DominanceKernelTest, GatherOrientationOnAsymmetricMatrix) {
   ForceScalarKernelDispatchForTest(false);
 }
 
+// Verdict and scalar-equivalent accounting of one pruner search.
+struct ScanOutcome {
+  bool found = false;
+  uint64_t pairs = 0;
+  uint64_t checks = 0;
+};
+
+// The scalar SRS phase-1 ring loop around `center`: offsets 1, 2, ..., the
+// left row before the right row at each, skipping every row whose id is
+// skip_id and stopping at the first pruner.
+ScanOutcome ScalarRing(const RowBatch& rows, const PruneContext& ctx,
+                       size_t center, RowId skip_id) {
+  ScanOutcome o;
+  const size_t n = rows.size();
+  auto try_row = [&](size_t j) {
+    if (rows.id(j) == skip_id) return false;
+    ++o.pairs;
+    return ctx.Prunes(rows.row_values(j), rows.row_numerics(j), &o.checks);
+  };
+  for (size_t off = 1; off < n && !o.found; ++off) {
+    o.found = (off <= center && try_row(center - off)) ||
+              (center + off < n && try_row(center + off));
+  }
+  return o;
+}
+
+// The scalar forward loop over every row, skipping skip_id rows.
+ScanOutcome ScalarForward(const RowBatch& rows, const PruneContext& ctx,
+                          RowId skip_id) {
+  ScanOutcome o;
+  for (size_t j = 0; j < rows.size() && !o.found; ++j) {
+    if (rows.id(j) == skip_id) continue;
+    ++o.pairs;
+    o.found = ctx.Prunes(rows.row_values(j), rows.row_numerics(j), &o.checks);
+  }
+  return o;
+}
+
+ScanOutcome KernelRing(DominanceKernel& kernel, size_t center,
+                       RowId skip_id) {
+  ScanOutcome o;
+  kernel.BeginCandidate();
+  o.found = kernel.FindPrunerRing(center, skip_id, &o.pairs, &o.checks);
+  return o;
+}
+
+// Kernel telemetry of one sweep; dispatch-independent by contract.
+struct Telemetry {
+  uint64_t kernel_checks = 0;
+  uint64_t promotions = 0;
+  uint64_t scalar_rows = 0;
+  uint64_t block_rows = 0;
+
+  void Add(const DominanceKernel& k) {
+    kernel_checks += k.kernel_checks();
+    promotions += k.promotions();
+    scalar_rows += k.scalar_rows();
+    block_rows += k.block_rows();
+  }
+  bool operator==(const Telemetry& o) const {
+    return kernel_checks == o.kernel_checks && promotions == o.promotions &&
+           scalar_rows == o.scalar_rows && block_rows == o.block_rows;
+  }
+};
+
+constexpr uint32_t kNeverPromote = std::numeric_limits<uint32_t>::max();
+
 // The Find* adapters reproduce the scalar scan loops exactly: same pair and
 // check totals, same first-pruner stop, in forward and expanding-ring order.
+// Swept over every promotion threshold — never, immediately, on the first
+// (left) ring row, on the second (right) one, and the default — for every
+// candidate of batches of 1, 31, 33, 97 and 150 rows (so centers 0, n-1
+// and the block edges 31, 32, 33), with categorical and mixed numeric
+// schemas, unique ids or ids shared by every seventh row (a skip_id that
+// matches several rows), and with and without an attached
+// SharedCandidateCache. The kernel telemetry must also be the same on the
+// AVX2 and the portable dispatch.
 TEST(DominanceKernelTest, FindAdaptersMatchScalarScans) {
-  Rng rng(555);
-  std::vector<size_t> cards = {7, 5, 9};
-  Rng drng = rng.Fork();
-  Rng srng = rng.Fork();
-  Dataset data = GenerateNormal(150, cards, drng);
-  SimilaritySpace space;
-  for (size_t c : cards) {
-    space.AddCategorical(MakeRandomMatrix(c, srng, {.symmetric = false}));
+  const uint32_t kPromote[] = {0, 1, 2, 16, kNeverPromote};
+  Telemetry per_dispatch[2];
+  uint64_t left_promotions = 0, found = 0, survived = 0;
+  for (const bool force_scalar : {false, true}) {
+    ForceScalarKernelDispatchForTest(force_scalar);
+    Telemetry& tel = per_dispatch[force_scalar ? 1 : 0];
+    Rng rng(4242);
+    for (const size_t n : {1, 31, 33, 97, 150}) {
+      for (const bool mixed : {false, true}) {
+        Rng drng = rng.Fork();
+        Rng srng = rng.Fork();
+        const std::vector<size_t> cards = {7, 5, 9};
+        Dataset data = mixed ? GenerateMixed(n, cards, 1, 3, drng)
+                             : GenerateNormal(n, cards, drng);
+        SimilaritySpace space;
+        for (size_t c : cards) {
+          space.AddCategorical(
+              MakeRandomMatrix(c, srng, {.symmetric = false}));
+        }
+        if (mixed) space.AddNumeric(NumericDissimilarity(0.8));
+        const Schema& schema = data.schema();
+        const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
+        for (const bool dup_ids : {false, true}) {
+          RowBatch rows(schema.num_attributes(), mixed);
+          for (RowId r = 0; r < n; ++r) {
+            rows.Append(dup_ids ? r % 7 : r, data.RowValues(r),
+                        data.RowNumerics(r));
+          }
+          ColumnarBatch cols;
+          cols.Build(rows);
+          for (int qi = 0; qi < 3; ++qi) {
+            Object q = SampleUniformQuery(data, rng);
+            QueryDistanceTable table(space, schema, q, selected);
+            PruneContext ctx(space, schema, q, selected, &table);
+            for (const bool shared : {false, true}) {
+              SharedCandidateCache cache;
+              if (shared) cache.Attach(ctx, cols);
+              for (const uint32_t promote : kPromote) {
+                DominanceKernel kernel(ctx, cols, {promote, 32},
+                                       shared ? &cache : nullptr);
+                for (size_t center = 0; center < n; ++center) {
+                  ctx.SetCandidate(rows.row_values(center),
+                                   rows.row_numerics(center));
+                  if (shared) cache.SetCandidate(ctx);
+                  const RowId skip = rows.id(center);
+                  const std::string where =
+                      "n=" + std::to_string(n) +
+                      " center=" + std::to_string(center) +
+                      " promote=" + std::to_string(promote) +
+                      " mixed=" + std::to_string(mixed) +
+                      " dup=" + std::to_string(dup_ids) +
+                      " shared=" + std::to_string(shared);
+                  const ScanOutcome want = ScalarRing(rows, ctx, center, skip);
+                  const ScanOutcome got = KernelRing(kernel, center, skip);
+                  EXPECT_EQ(got.found, want.found) << "ring " << where;
+                  EXPECT_EQ(got.pairs, want.pairs) << "ring " << where;
+                  EXPECT_EQ(got.checks, want.checks) << "ring " << where;
+                  (want.found ? found : survived) += 1;
+                  // promote_rows == 1 graduates on the first row tested:
+                  // offset 1's left row when it exists, is not skipped,
+                  // does not prune and has a right-hand partner.
+                  if (promote == 1 && center >= 1 && center + 1 < n &&
+                      rows.id(center - 1) != skip) {
+                    uint64_t unused = 0;
+                    if (!ctx.Prunes(rows.row_values(center - 1),
+                                    rows.row_numerics(center - 1), &unused)) {
+                      ++left_promotions;
+                    }
+                  }
+                  const ScanOutcome fwant = ScalarForward(rows, ctx, skip);
+                  ScanOutcome fgot;
+                  kernel.BeginCandidate();
+                  fgot.found = kernel.FindPrunerForward(0, n, skip, &fgot.pairs,
+                                                        &fgot.checks);
+                  EXPECT_EQ(fgot.found, fwant.found) << "forward " << where;
+                  EXPECT_EQ(fgot.pairs, fwant.pairs) << "forward " << where;
+                  EXPECT_EQ(fgot.checks, fwant.checks) << "forward " << where;
+                }
+                tel.Add(kernel);
+              }
+            }
+          }
+        }
+      }
+    }
   }
-  const Schema& schema = data.schema();
-  const std::vector<AttrId> selected = ResolveSelectedAttrs(schema, {});
-  Object q = SampleRowQuery(data, rng);
+  ForceScalarKernelDispatchForTest(false);
+  EXPECT_TRUE(per_dispatch[0] == per_dispatch[1]);
+  EXPECT_GT(per_dispatch[0].promotions, 0u);
+  EXPECT_GT(per_dispatch[0].block_rows, 0u);
+  EXPECT_GT(left_promotions, 0u);
+  EXPECT_GT(found, 0u);
+  EXPECT_GT(survived, 0u);
+}
+
+// Equal-offset pruners on both sides: the ring visits the left row of an
+// offset first, so the search stops there with the right row of the same
+// offset untested. A discrete metric (0 on the diagonal, 1 elsewhere) and
+// a query that differs from the candidate on the last attribute only make
+// exact copies of the candidate its only pruners; copies are planted at
+// center - d and center + d across the 32-row block edges.
+TEST(DominanceKernelTest, RingTieGoesToLeftRow) {
+  constexpr size_t kCard = 4;
+  constexpr size_t kRows = 97;
+  SimilaritySpace space;
+  for (int a = 0; a < 3; ++a) {
+    DissimilarityMatrix mat(kCard);
+    for (ValueId u = 0; u < kCard; ++u) {
+      for (ValueId v = 0; v < kCard; ++v) {
+        if (u != v) mat.Set(u, v, 1.0);
+      }
+    }
+    space.AddCategorical(std::move(mat));
+  }
+  Schema schema = Schema::Categorical({kCard, kCard, kCard});
+  const std::vector<AttrId> selected = {0, 1, 2};
+  const std::vector<ValueId> x = {0, 0, 0};
+  Object q({0, 0, 1});
   QueryDistanceTable table(space, schema, q, selected);
   PruneContext ctx(space, schema, q, selected, &table);
-  RowBatch rows = BatchFromDataset(data);
-  ColumnarBatch cols;
-  cols.Build(rows);
-  DominanceKernel kernel(ctx, cols);
-
-  const size_t n = rows.size();
-  for (RowId x = 0; x < n; x += 5) {
-    ctx.SetCandidate(data.RowValues(x), nullptr);
-
-    // Scalar forward scan, skipping the candidate's own id.
-    uint64_t s_pairs = 0, s_checks = 0;
-    bool s_found = false;
-    for (size_t j = 0; j < n && !s_found; ++j) {
-      if (rows.id(j) == x) continue;
-      ++s_pairs;
-      s_found = ctx.Prunes(rows.row_values(j), nullptr, &s_checks);
-    }
-    kernel.BeginCandidate();
-    uint64_t k_pairs = 0, k_checks = 0;
-    EXPECT_EQ(kernel.FindPrunerForward(0, n, x, &k_pairs, &k_checks),
-              s_found);
-    EXPECT_EQ(k_pairs, s_pairs) << "x=" << x;
-    EXPECT_EQ(k_checks, s_checks) << "x=" << x;
-
-    // Scalar expanding-ring scan around the candidate's position.
-    s_pairs = s_checks = 0;
-    s_found = false;
-    const size_t center = x;
-    for (size_t off = 1; off < n && !s_found; ++off) {
-      if (off <= center && rows.id(center - off) != x) {
-        ++s_pairs;
-        s_found = ctx.Prunes(rows.row_values(center - off), nullptr,
-                             &s_checks);
-      }
-      if (!s_found && center + off < n && rows.id(center + off) != x) {
-        ++s_pairs;
-        s_found =
-            ctx.Prunes(rows.row_values(center + off), nullptr, &s_checks);
+  Rng rng(77);
+  for (const bool force_scalar : {false, true}) {
+    ForceScalarKernelDispatchForTest(force_scalar);
+    for (const size_t center : {20, 31, 32, 33, 40, 63, 64}) {
+      for (size_t d = 1; d <= center && center + d < kRows; d += 3) {
+        RowBatch rows(3, false);
+        for (size_t r = 0; r < kRows; ++r) {
+          std::vector<ValueId> v = {
+              static_cast<ValueId>(1 + rng.Uniform(kCard - 1)),
+              static_cast<ValueId>(rng.Uniform(kCard)),
+              static_cast<ValueId>(rng.Uniform(kCard))};
+          if (r == center || r + d == center || r == center + d) v = x;
+          rows.Append(r, v.data(), nullptr);
+        }
+        ColumnarBatch cols;
+        cols.Build(rows);
+        ctx.SetCandidate(x.data(), nullptr);
+        for (const uint32_t promote : {0u, 1u, 2u, 16u, kNeverPromote}) {
+          DominanceKernel kernel(ctx, cols, {promote, 32});
+          const ScanOutcome want = ScalarRing(rows, ctx, center, center);
+          const ScanOutcome got = KernelRing(kernel, center, center);
+          ASSERT_TRUE(want.found);
+          EXPECT_EQ(want.pairs, 2 * d - 1) << "center=" << center;
+          EXPECT_TRUE(got.found);
+          EXPECT_EQ(got.pairs, want.pairs)
+              << "center=" << center << " d=" << d << " promote=" << promote;
+          EXPECT_EQ(got.checks, want.checks)
+              << "center=" << center << " d=" << d << " promote=" << promote;
+        }
       }
     }
-    kernel.BeginCandidate();
-    k_pairs = k_checks = 0;
-    EXPECT_EQ(kernel.FindPrunerRing(center, x, &k_pairs, &k_checks),
-              s_found);
-    EXPECT_EQ(k_pairs, s_pairs) << "ring x=" << x;
-    EXPECT_EQ(k_checks, s_checks) << "ring x=" << x;
   }
+  ForceScalarKernelDispatchForTest(false);
 }
 
 TEST(DominanceKernelTest, DispatchNamesAndForceHook) {
