@@ -181,7 +181,6 @@ RescanOutcome RunBichromaticRescan(const Dataset& cand_data,
           &disk, BufferPoolOptions::FromBudget(MemoryBudget{cache_pages}));
     }
     RSOptions opts = base_opts;
-    opts.cache_pages = pool != nullptr;
     opts.buffer_pool = pool.get();
 
     IoStats total;

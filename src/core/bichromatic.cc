@@ -6,10 +6,9 @@
 
 #include "common/timer.h"
 #include "core/dominance.h"
-#include "core/dominance_kernel.h"
+#include "core/pruner_scan.h"
 #include "core/query_distance_table.h"
 #include "core/tree_traversal.h"
-#include "data/columnar_batch.h"
 #include "sim/matrix_overlay.h"
 
 namespace nmrs {
@@ -59,8 +58,7 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   // The kernels need a table-backed context (cached matrix columns to
   // gather from); the table changes no Prunes outcome or count, but it is
   // only built when asked for, keeping the default path seed-identical.
@@ -79,6 +77,7 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
 
   const uint64_t batch_pages = opts.memory.pages - 1;  // 1 page streams P
   const uint64_t c_pages = candidates.num_pages();
+  std::vector<uint8_t> pruned;
   for (PageId start = 0; start < c_pages; start += batch_pages) {
     ++stats.phase1_batches;
     const PageId end = std::min<PageId>(start + batch_pages, c_pages);
@@ -86,49 +85,13 @@ StatusOr<ReverseSkylineResult> BichromaticBlockRS(
     for (PageId p = start; p < end; ++p) {
       NMRS_RETURN_IF_ERROR(candidates.ReadPageVia(&reader, p, &batch));
     }
-    std::vector<bool> alive(batch.size(), true);
-
-    RowBatch page(m, numerics);
-    ColumnarBatch cols;
-    for (PageId pp = 0; pp < competitors.num_pages(); ++pp) {
-      page.Clear();
-      NMRS_RETURN_IF_ERROR(competitors.ReadPageVia(&reader, pp, &page));
-      if (opts.use_kernels) {
-        cols.Build(page);
-        DominanceKernel kernel(
-            ctx, cols, {opts.kernel_promote_rows, DominanceKernel::kBlockRows});
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (!alive[i]) continue;
-          ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
-          kernel.BeginCandidate();
-          // Competitors are a different set: no id to spare, so the scan
-          // skips nothing (kInvalidRowId matches no stored row).
-          if (kernel.FindPrunerForward(0, page.size(), kInvalidRowId,
-                                       &stats.pair_tests, &stats.checks)) {
-            alive[i] = false;
-          }
-        }
-        stats.kernel_checks += kernel.kernel_checks();
-        stats.kernel_promotions += kernel.promotions();
-        stats.kernel_scalar_rows += kernel.scalar_rows();
-        stats.kernel_block_rows += kernel.block_rows();
-        continue;
-      }
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!alive[i]) continue;
-        ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
-        for (size_t j = 0; j < page.size(); ++j) {
-          ++stats.pair_tests;
-          if (ctx.Prunes(page.row_values(j), page.row_numerics(j),
-                         &stats.checks)) {
-            alive[i] = false;
-            break;
-          }
-        }
-      }
-    }
+    // Competitors are a different set with their own ids: no row is
+    // spared, even one whose id equals the candidate's.
+    NMRS_RETURN_IF_ERROR(RefineAgainstPages(competitors, &reader, batch,
+                                            /*skip_own_id=*/false, opts, ctx,
+                                            &pruned, &stats));
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (alive[i]) result.rows.push_back(batch.id(i));
+      if (!pruned[i]) result.rows.push_back(batch.id(i));
     }
   }
 
@@ -176,8 +139,7 @@ StatusOr<ReverseSkylineResult> BichromaticTreeRS(
 
   TreeQueryContext ctx =
       internal_tree::MakeTreeContext(space, schema, query, opts);
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   ReverseSkylineResult result;
   QueryStats& stats = result.stats;
 

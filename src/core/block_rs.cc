@@ -8,6 +8,7 @@
 #include "common/timer.h"
 #include "core/dominance.h"
 #include "core/dominance_kernel.h"
+#include "core/pruner_scan.h"
 #include "core/query_distance_table.h"
 #include "data/columnar_batch.h"
 #include "storage/paged_reader.h"
@@ -16,103 +17,32 @@ namespace nmrs {
 
 namespace {
 
-// Phase-1 pruner search order within a batch.
-enum class SearchOrder {
-  kForward,  // BRS: plain 0..n scan
-  kRing,     // SRS: offsets ±1, ±2, ... from the candidate's sorted position
-};
-
-// Per-chunk phase-1 counters, summed into QueryStats in chunk order so the
-// totals match the sequential run exactly (all six are order-independent
-// sums, but summing in chunk order keeps the contract obvious).
-struct Phase1Counters {
-  uint64_t pair_tests = 0;
-  uint64_t checks = 0;
-  uint64_t kernel_checks = 0;
-  uint64_t kernel_promotions = 0;
-  uint64_t kernel_scalar_rows = 0;
-  uint64_t kernel_block_rows = 0;
-
-  void FoldInto(QueryStats* stats) const {
-    stats->pair_tests += pair_tests;
-    stats->checks += checks;
-    stats->kernel_checks += kernel_checks;
-    stats->kernel_promotions += kernel_promotions;
-    stats->kernel_scalar_rows += kernel_scalar_rows;
-    stats->kernel_block_rows += kernel_block_rows;
-  }
-};
-
-// The phase-1 pruner search of candidate i, whose values `ctx` already
-// holds: true iff a loaded row with another id prunes it, visiting rows in
-// `order` and stopping at the first pruner. Adds the pair/check counts.
-// With a kernel over the batch's columnar view the scan is evaluated
-// adaptively — scalar probe first, blocks after promotion — with identical
-// verdicts and accounting (DominanceKernel's equivalence contract).
-bool FindPruner(const RowBatch& batch, const PruneContext& ctx,
-                DominanceKernel* kernel, SearchOrder order, size_t i,
-                uint64_t* pair_tests, uint64_t* checks) {
-  const size_t n = batch.size();
-  const RowId x_id = batch.id(i);
-  if (kernel != nullptr) {
-    kernel->BeginCandidate();
-    return order == SearchOrder::kForward
-               ? kernel->FindPrunerForward(0, n, x_id, pair_tests, checks)
-               : kernel->FindPrunerRing(i, x_id, pair_tests, checks);
-  }
-  auto try_pruner = [&](size_t j) {
-    if (batch.id(j) == x_id) return false;
-    ++*pair_tests;
-    return ctx.Prunes(batch.row_values(j), batch.row_numerics(j), checks);
-  };
-  if (order == SearchOrder::kForward) {
-    for (size_t j = 0; j < n; ++j) {
-      if (j != i && try_pruner(j)) return true;
-    }
-    return false;
-  }
-  // Expanding ring around i: sorted data puts likely pruners nearby.
-  for (size_t off = 1; off < n; ++off) {
-    if (off <= i && try_pruner(i - off)) return true;
-    if (i + off < n && try_pruner(i + off)) return true;
-  }
-  return false;
-}
-
 // Checks candidates [begin, end) of `batch` against all loaded rows and
 // records which are pruned, on the kernel path when `cols` (the batch's
-// columnar view) is given. `ctx` and the counters belong to the caller
-// (one chunk when parallel), so this runs with no shared mutable state
-// beyond the disjoint `pruned` slots — the per-candidate work is identical
-// to the sequential scan, which keeps check counts deterministic.
+// columnar view) is given. `ctx` and `stats` belong to the caller (one
+// chunk when parallel), so this runs with no shared mutable state beyond
+// the disjoint `pruned` slots — the per-candidate work is identical to the
+// sequential scan, which keeps check counts deterministic.
 void Phase1CheckRange(const RowBatch& batch, const ColumnarBatch* cols,
                       PruneContext& ctx, SearchOrder order,
                       uint32_t promote_rows, size_t begin, size_t end,
-                      Phase1Counters* counters, uint8_t* pruned) {
+                      QueryStats* stats, uint8_t* pruned) {
   std::optional<DominanceKernel> kernel;
-  if (cols != nullptr) {
-    kernel.emplace(ctx, *cols,
-                   KernelPolicy{promote_rows, DominanceKernel::kBlockRows});
-  }
+  if (cols != nullptr) kernel.emplace(ctx, *cols, promote_rows);
   for (size_t i = begin; i < end; ++i) {
     ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
     pruned[i] = FindPruner(batch, ctx, kernel ? &*kernel : nullptr, order, i,
-                           &counters->pair_tests, &counters->checks);
+                           batch.id(i), &stats->pair_tests, &stats->checks);
   }
-  if (kernel) {
-    counters->kernel_checks += kernel->kernel_checks();
-    counters->kernel_promotions += kernel->promotions();
-    counters->kernel_scalar_rows += kernel->scalar_rows();
-    counters->kernel_block_rows += kernel->block_rows();
-  }
+  if (kernel) kernel->AddTelemetryTo(stats);
 }
 
 // Intra-batch pruning of one loaded batch; appends survivors to *writer.
 // Pruned objects keep acting as pruners (paper Alg. 2 lines 4-7 iterate all
 // loaded Y). With opts.num_threads > 1 the candidate checks are chunked
-// across threads (each chunk with its own PruneContext and counters, summed
-// in chunk order); survivors are still written in scan order, so results,
-// check totals, and IO match the sequential run exactly.
+// across threads (each chunk with its own PruneContext and QueryStats,
+// summed in chunk order); survivors are still written in scan order, so
+// results, check totals, and IO match the sequential run exactly.
 Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
                    const Schema& schema, const Object& query,
                    const RSOptions& opts, PruneContext& ctx,
@@ -126,16 +56,14 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
   if (opts.use_kernels) cols.Build(batch);
   const ColumnarBatch* view = opts.use_kernels ? &cols : nullptr;
   if (opts.num_threads <= 1 || n < 2) {
-    Phase1Counters counters;
     Phase1CheckRange(batch, view, ctx, order, opts.kernel_promote_rows, 0, n,
-                     &counters, pruned.data());
-    counters.FoldInto(stats);
+                     stats, pruned.data());
   } else {
     // More chunks than threads so the work-stealing pool can balance the
     // uneven per-candidate cost (a candidate pruned early is cheap).
     const size_t num_chunks =
         std::min(n, static_cast<size_t>(opts.num_threads) * 4);
-    std::vector<Phase1Counters> counters(num_chunks);
+    std::vector<QueryStats> chunk_stats(num_chunks);
     ParallelChunks(opts.executor, opts.num_threads, num_chunks,
                    [&](size_t c) {
                      PruneContext chunk_ctx(space, schema, query,
@@ -144,11 +72,9 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
                                       opts.kernel_promote_rows,
                                       ChunkBegin(n, num_chunks, c),
                                       ChunkBegin(n, num_chunks, c + 1),
-                                      &counters[c], pruned.data());
+                                      &chunk_stats[c], pruned.data());
                    });
-    for (const Phase1Counters& cc : counters) {
-      cc.FoldInto(stats);
-    }
+    for (const QueryStats& cs : chunk_stats) stats->MergeFrom(cs);
   }
   for (size_t i = 0; i < n; ++i) {
     if (!pruned[i]) {
@@ -160,70 +86,27 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
 }
 
 // Phase 2 (paper Alg. 2 lines 9-19): survivors R are consumed in batches of
-// (memory-1) pages; each batch is refined by one full sequential scan of D.
-// With opts.use_kernels each streamed D-page gets a columnar view shared by
-// all still-alive candidates of the batch; results and accounting match the
-// scalar scan exactly.
+// (memory-1) pages; each batch is refined by one full sequential scan of D
+// (RefineAgainstPages).
 Status Phase2(const StoredDataset& data, const StoredDataset& survivors,
               PagedReader* reader, PruneContext& ctx, uint64_t batch_pages,
               const RSOptions& opts, QueryStats* stats,
               std::vector<RowId>* out) {
   const Schema& schema = data.schema();
-  const size_t m = schema.num_attributes();
-  const bool numerics = schema.NumNumeric() > 0;
   const uint64_t r_pages = survivors.num_pages();
-  const uint64_t d_pages = data.num_pages();
-
+  std::vector<uint8_t> pruned;
   for (PageId r_start = 0; r_start < r_pages; r_start += batch_pages) {
     ++stats->phase2_batches;
     const PageId r_end = std::min<PageId>(r_start + batch_pages, r_pages);
-    RowBatch batch(m, numerics);
+    RowBatch batch(schema.num_attributes(), schema.NumNumeric() > 0);
     for (PageId p = r_start; p < r_end; ++p) {
       NMRS_RETURN_IF_ERROR(survivors.ReadPageVia(reader, p, &batch));
     }
-    std::vector<bool> alive(batch.size(), true);
-
-    RowBatch page(m, numerics);
-    ColumnarBatch cols;
-    for (PageId dp = 0; dp < d_pages; ++dp) {
-      page.Clear();
-      NMRS_RETURN_IF_ERROR(data.ReadPageVia(reader, dp, &page));
-      if (opts.use_kernels) {
-        cols.Build(page);
-        DominanceKernel kernel(
-            ctx, cols, {opts.kernel_promote_rows, DominanceKernel::kBlockRows});
-        for (size_t i = 0; i < batch.size(); ++i) {
-          if (!alive[i]) continue;
-          ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
-          kernel.BeginCandidate();
-          if (kernel.FindPrunerForward(0, page.size(), batch.id(i),
-                                       &stats->pair_tests, &stats->checks)) {
-            alive[i] = false;
-          }
-        }
-        stats->kernel_checks += kernel.kernel_checks();
-        stats->kernel_promotions += kernel.promotions();
-        stats->kernel_scalar_rows += kernel.scalar_rows();
-        stats->kernel_block_rows += kernel.block_rows();
-        continue;
-      }
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (!alive[i]) continue;
-        ctx.SetCandidate(batch.row_values(i), batch.row_numerics(i));
-        const RowId x_id = batch.id(i);
-        for (size_t j = 0; j < page.size(); ++j) {
-          if (page.id(j) == x_id) continue;
-          ++stats->pair_tests;
-          if (ctx.Prunes(page.row_values(j), page.row_numerics(j),
-                         &stats->checks)) {
-            alive[i] = false;
-            break;
-          }
-        }
-      }
-    }
+    NMRS_RETURN_IF_ERROR(RefineAgainstPages(data, reader, batch,
+                                            /*skip_own_id=*/true, opts, ctx,
+                                            &pruned, stats));
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (alive[i]) out->push_back(batch.id(i));
+      if (!pruned[i]) out->push_back(batch.id(i));
     }
   }
   return Status::OK();
@@ -245,8 +128,7 @@ StatusOr<ReverseSkylineResult> RunBlockAlgorithm(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,
@@ -334,8 +216,6 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
 
   const SearchOrder order =
       ring_order ? SearchOrder::kRing : SearchOrder::kForward;
-  const KernelPolicy policy{opts.kernel_promote_rows,
-                            DominanceKernel::kBlockRows};
   const size_t nq = queries.size();
 
   disk->InvalidateArmPosition();
@@ -367,8 +247,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
 
   // ---- Phase 1: one scan of D feeds every query's intra-batch pruning ----
   Timer shared_timer;
-  PagedReader shared_reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                            MakeReaderOptions(opts));
+  PagedReader shared_reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   const IoStats phase1_before = disk->stats();
   IoStats spill_io;  // per-query scratch writes inside the phase-1 window
   SharedCandidateCache cache;
@@ -387,8 +266,8 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       cols.Build(batch);
       cache.Attach(*runs[0].ctx, cols);
       for (QueryRun& r : runs) {
-        r.kernel =
-            std::make_unique<DominanceKernel>(*r.ctx, cols, policy, &cache);
+        r.kernel = std::make_unique<DominanceKernel>(
+            *r.ctx, cols, opts.kernel_promote_rows, &cache);
       }
     }
     pruned.assign(nq * n, 0);
@@ -403,8 +282,9 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       for (size_t q = 0; q < nq; ++q) {
         QueryRun& r = runs[q];
         QueryStats& st = results[q].stats;
-        pruned[q * n + i] = FindPruner(batch, *r.ctx, r.kernel.get(), order,
-                                       i, &st.pair_tests, &st.checks);
+        pruned[q * n + i] =
+            FindPruner(batch, *r.ctx, r.kernel.get(), order, i, batch.id(i),
+                       &st.pair_tests, &st.checks);
       }
     }
     // Per-query survivor spills, in scan order, with the writes charged to
@@ -413,12 +293,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
       QueryRun& r = runs[q];
       QueryStats& st = results[q].stats;
       ++st.phase1_batches;
-      if (opts.use_kernels) {
-        st.kernel_checks += r.kernel->kernel_checks();
-        st.kernel_promotions += r.kernel->promotions();
-        st.kernel_scalar_rows += r.kernel->scalar_rows();
-        st.kernel_block_rows += r.kernel->block_rows();
-      }
+      if (opts.use_kernels) r.kernel->AddTelemetryTo(&st);
       const IoStats spill_before = disk->stats();
       for (size_t i = 0; i < n; ++i) {
         if (!pruned[q * n + i]) {
@@ -460,8 +335,7 @@ StatusOr<std::vector<ReverseSkylineResult>> SharedScanReverseSkylines(
     Timer phase2_timer;
     disk->InvalidateArmPosition();
     const IoStats phase2_before = disk->stats();
-    PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                       MakeReaderOptions(opts));
+    PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
     StoredDataset survivors(disk, r.scratch, schema, r.writer->rows_written(),
                             opts.resilience.checksum_pages);
     NMRS_RETURN_IF_ERROR(Phase2(data, survivors, &reader, *r.ctx, batch_pages,

@@ -77,8 +77,7 @@ StatusOr<ReverseSkylineResult> BnlDynamicSkyline(const StoredDataset& data,
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, ref, selected, opts.overlay);
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   ReverseSkylineResult result;
   QueryStats& stats = result.stats;
 

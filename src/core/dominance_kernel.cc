@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "core/query.h"
 #include "core/query_distance_table.h"
 #include "sim/similarity_space.h"
 
@@ -374,40 +375,43 @@ const double* SharedCandidateCache::EnsureLhs(size_t k, size_t block) {
 
 DominanceKernel::DominanceKernel(const PruneContext& ctx,
                                  const ColumnarBatch& cols,
-                                 KernelPolicy policy,
+                                 uint32_t promote_rows,
                                  SharedCandidateCache* shared)
     : ctx_(&ctx),
       cols_(&cols),
       shared_(shared),
       dispatch_(ActiveKernelDispatch()),
-      policy_(policy),
-      num_groups_((cols.size() + kGroupRows - 1) / kGroupRows) {
+      promote_rows_(promote_rows) {
   NMRS_CHECK(ctx.table() != nullptr)
       << "DominanceKernel needs a table-backed PruneContext";
   for (AttrId a : ctx.selected()) {
     NMRS_CHECK(a < cols.num_attrs())
         << "ColumnarBatch narrower than the context's selection";
   }
-  NMRS_CHECK(policy_.block_rows == kGroupRows ||
-             policy_.block_rows == kBlockRows)
-      << "block_rows must be 8 or 32";
   if (shared_ != nullptr) {
     NMRS_CHECK(shared_->attached() && shared_->batch() == &cols)
         << "SharedCandidateCache bound to a different batch";
     NMRS_CHECK(shared_->num_selected() == ctx.num_selected())
         << "sharing queries must agree on the attribute selection";
   }
-  group_epoch_.assign(num_groups_, 0);
+  block_epoch_.assign((cols.size() + kBlockRows - 1) / kBlockRows, 0);
   prunes_.assign(cols.size(), 0);
   nchecks_.assign(cols.size(), 0);
   masks_.assign(2 * (ctx.num_selected() + 1), 0);
-  promoted_ = policy_.promote_rows == 0;
+  promoted_ = promote_rows_ == 0;
 }
 
 void DominanceKernel::BeginCandidate() {
   ++epoch_;
   survived_ = 0;
-  promoted_ = policy_.promote_rows == 0;
+  promoted_ = promote_rows_ == 0;
+}
+
+void DominanceKernel::AddTelemetryTo(QueryStats* stats) const {
+  stats->kernel_checks += kernel_checks_;
+  stats->kernel_promotions += promotions_;
+  stats->kernel_scalar_rows += scalar_rows_;
+  stats->kernel_block_rows += block_rows_;
 }
 
 bool DominanceKernel::ProbeRow(size_t j, uint32_t* nch) const {
@@ -474,19 +478,18 @@ size_t DominanceKernel::EvalMasks(size_t begin, size_t n,
   return k;
 }
 
-void DominanceKernel::EvalRows(size_t begin, size_t n,
-                               uint32_t init_active) {
-  const size_t m = ctx_->num_selected();
+void DominanceKernel::EvalWindow(size_t row) {
+  const size_t begin = row & ~(kBlockRows - 1);
+  const size_t n = std::min(kBlockRows, cols_->size() - begin);
+  block_epoch_[begin / kBlockRows] = epoch_;
+  block_rows_ += n;
   uint16_t* nch = nchecks_.data() + begin;
   uint8_t* pr = prunes_.data() + begin;
-  block_rows_ += static_cast<uint64_t>(__builtin_popcount(init_active));
   uint32_t pruners;
   const size_t levels =
-      EvalMasks(begin, n, init_active, masks_.data(), &pruners);
+      EvalMasks(begin, n, RangeMask(0, n), masks_.data(), &pruners);
   // Rows alive entering attribute k but not k+1 did their last
   // scalar-equivalent check at k; survivors (masks_[levels]) made all m.
-  // Only the requested rows are written: other rows of the window may
-  // carry results from an earlier (narrower) evaluation.
   for (size_t k = 0; k < levels; ++k) {
     uint32_t last = masks_[k] & ~masks_[k + 1];
     while (last != 0) {
@@ -499,37 +502,11 @@ void DominanceKernel::EvalRows(size_t begin, size_t n,
   while (rest != 0) {
     const unsigned w = static_cast<unsigned>(__builtin_ctz(rest));
     rest &= rest - 1;
-    nch[w] = static_cast<uint16_t>(m);
+    nch[w] = static_cast<uint16_t>(ctx_->num_selected());
   }
-  rest = init_active;
-  while (rest != 0) {
-    const unsigned w = static_cast<unsigned>(__builtin_ctz(rest));
-    rest &= rest - 1;
+  for (size_t w = 0; w < n; ++w) {
     pr[w] = static_cast<uint8_t>((pruners >> w) & 1u);
   }
-}
-
-void DominanceKernel::EvalWindow(size_t row) {
-  size_t begin, span;
-  if (policy_.block_rows >= kBlockRows) {
-    begin = row & ~(kBlockRows - 1);
-    span = kBlockRows;
-  } else {
-    begin = row & ~(kGroupRows - 1);
-    span = kGroupRows;
-  }
-  const size_t n = std::min(span, cols_->size() - begin);
-  uint32_t want = 0;
-  const size_t g0 = begin / kGroupRows;
-  const size_t g_end = (begin + n + kGroupRows - 1) / kGroupRows;
-  for (size_t g = g0; g < g_end; ++g) {
-    if (GroupReady(g)) continue;
-    group_epoch_[g] = epoch_;
-    const size_t lo = g * kGroupRows - begin;
-    const size_t cnt = std::min(kGroupRows, n - lo);
-    want |= ((1u << cnt) - 1u) << lo;
-  }
-  if (want != 0) EvalRows(begin, n, want);
 }
 
 uint64_t DominanceKernel::CountPruners(size_t begin, size_t end,
@@ -578,7 +555,7 @@ uint32_t DominanceKernel::RowChecks(size_t j) {
 
 bool DominanceKernel::BulkWindow(size_t begin, size_t n,
                                  uint64_t* pair_tests, uint64_t* checks) {
-  // Like CountPruners' full-block loop, the window computes lane masks
+  // Like CountPruners' full-block loop, the block computes lane masks
   // only — no prunes_/nchecks_ writes, no later re-reads. The scalar
   // accounting falls out of the per-attribute survivor masks alone: a row
   // first violated at attribute k was active for exactly its k+1 checks,
@@ -608,21 +585,15 @@ bool DominanceKernel::FindPrunerForward(size_t begin, size_t end,
     ++*pair_tests;
     if (ProbeStep(j, checks)) return true;
   }
-  // Post-promotion: window at a time. Windows fully inside the range with
+  // Post-promotion: block at a time. Blocks fully inside the range with
   // no prior evaluation and no skipped row take the bulk path; the rest
-  // (range edges, groups a probe reused, the window holding skip_id) go
+  // (range edges, a block a probe reused, the block holding skip_id) go
   // through the per-row artifacts so reuse stays coherent.
-  const size_t W =
-      policy_.block_rows >= kBlockRows ? kBlockRows : kGroupRows;
   while (j < end) {
-    const size_t wb = j & ~(W - 1);
-    const size_t wn = std::min(W, cols_->size() - wb);
+    const size_t wb = j & ~(kBlockRows - 1);
+    const size_t wn = std::min(kBlockRows, cols_->size() - wb);
     const size_t we = std::min(end, wb + wn);
-    bool per_row = j != wb || we != wb + wn;
-    for (size_t g = wb / kGroupRows;
-         !per_row && g * kGroupRows < wb + wn; ++g) {
-      per_row = GroupReady(g);
-    }
+    bool per_row = j != wb || we != wb + wn || BlockReady(wb / kBlockRows);
     for (size_t r = wb; !per_row && r < wb + wn; ++r) {
       per_row = ids[r] == skip_id;
     }

@@ -10,6 +10,8 @@
 
 namespace nmrs {
 
+struct QueryStats;
+
 /// Which lane-evaluator implementation the kernels run on. Selected once
 /// per process by runtime CPU detection (like the crc32c hardware path):
 /// kAvx2 uses vgatherdpd-style gathers + vectorized compares, kScalar is
@@ -26,21 +28,6 @@ const char* KernelDispatchName(KernelDispatch d);
 /// available, so both paths can be compared in one process. Affects kernels
 /// constructed after the call; not for production use.
 void ForceScalarKernelDispatchForTest(bool force);
-
-/// When a candidate graduates from the scalar probe loop to block
-/// evaluation (docs/KERNELS.md). Every candidate starts on the exact
-/// scalar early-aborting loop; only after it survives `promote_rows`
-/// pruner tests — evidence that its scan is long enough for bulk work to
-/// amortize — do the Find* adapters switch to evaluating `block_rows` rows
-/// at a time through the lane evaluators. promote_rows == 0 promotes
-/// immediately (the pre-adaptive always-block behavior). `block_rows`
-/// selects the window the forward scan and the per-row path (RowPrunes,
-/// RowChecks) evaluate: 32 rows (one bitmask word) or one 8-row group.
-/// Ring scans ignore it and always evaluate aligned 32-row blocks.
-struct KernelPolicy {
-  uint32_t promote_rows = 0;
-  uint32_t block_rows = 32;
-};
 
 /// Shared per-candidate cache of the *left-hand sides* of the pruning
 /// condition: for a fixed candidate X, the values d_k(y, x_k) gathered per
@@ -111,17 +98,17 @@ class SharedCandidateCache {
 /// early-exits the attribute loop as soon as no row in the block can still
 /// be a pruner.
 ///
-/// ## Adaptive dispatch (KernelPolicy)
+/// ## Adaptive dispatch (promote_rows)
 ///
 /// Bulk evaluation only wins when the candidate's pruner scan is long; a
 /// candidate pruned by one of its first few neighbours is cheapest on the
 /// plain scalar loop. The Find* adapters therefore start every candidate
 /// on an exact replica of the scalar early-aborting loop and promote it to
-/// block evaluation only after it survives KernelPolicy::promote_rows
-/// tests. Per-row evaluation is group-granular (8-row groups tracked
-/// separately), so a row touched by RowPrunes computes its 8- or 32-row
-/// window (KernelPolicy::block_rows) once; the promoted forward and ring
-/// scans instead evaluate whole blocks masks-only (BulkWindow, BulkRing).
+/// block evaluation only after it survives `promote_rows` tests (0 =
+/// promote immediately, the always-block behavior). Per-row evaluation is
+/// block-granular: a row touched by RowPrunes computes its aligned 32-row
+/// window once; the promoted forward and ring scans instead evaluate whole
+/// blocks masks-only (BulkWindow, BulkRing).
 /// The promotion decision depends only on verdicts, which are
 /// dispatch-invariant — so promotions, scalar/block row splits and
 /// kernel_checks all agree between the AVX2 and portable paths.
@@ -140,10 +127,9 @@ class SharedCandidateCache {
 /// violation masks — and they stop at the first pruner in the same search
 /// order. The block path's own work is reported separately as
 /// kernel_checks(): per attribute processed it adds the number of rows
-/// still alive in the window — a dispatch- and grouping-independent count
-/// equal to the sum of the block-evaluated rows' scalar check counts plus
-/// the lanes past an adapter's first pruner that the window computed
-/// anyway.
+/// still alive in the block — a dispatch-independent count equal to the
+/// sum of the block-evaluated rows' scalar check counts plus the lanes
+/// past an adapter's first pruner that the block computed anyway.
 ///
 /// The context must be table-backed (QueryDistanceTable) — all wired
 /// algorithms build one — and both `ctx` and `cols` are borrowed and must
@@ -154,13 +140,12 @@ class SharedCandidateCache {
 /// attached to the same batch and its SetCandidate must track ctx's.
 class DominanceKernel {
  public:
-  /// Rows evaluated per wide block (one bitmask word).
+  /// Rows evaluated per block (one bitmask word): the one window width of
+  /// every block path.
   static constexpr size_t kBlockRows = 32;
-  /// Group granularity of lazy evaluation, and the narrow block width.
-  static constexpr size_t kGroupRows = 8;
 
   DominanceKernel(const PruneContext& ctx, const ColumnarBatch& cols,
-                  KernelPolicy policy = {},
+                  uint32_t promote_rows = 0,
                   SharedCandidateCache* shared = nullptr);
 
   /// Invalidates cached block results and restarts the adaptive probe;
@@ -171,7 +156,7 @@ class DominanceKernel {
   /// id != skip_id prunes the current candidate, stopping there. Adds the
   /// scalar-equivalent pair/check counts (rows with id == skip_id are
   /// skipped without counting, like the scalar loops). Once the candidate
-  /// is promoted, whole untouched windows are evaluated in bulk — masks
+  /// is promoted, whole untouched blocks are evaluated in bulk — masks
   /// only, no per-row artifacts — with the scalar accounting reconstructed
   /// from the per-attribute survivor masks (see BulkWindow).
   bool FindPrunerForward(size_t begin, size_t end, RowId skip_id,
@@ -231,16 +216,17 @@ class DominanceKernel {
   uint64_t scalar_rows() const { return scalar_rows_; }
   uint64_t block_rows() const { return block_rows_; }
 
+  /// Adds kernel_checks() and the adaptive-policy telemetry to the
+  /// matching QueryStats counters.
+  void AddTelemetryTo(QueryStats* stats) const;
+
   /// Dispatch this kernel instance is bound to.
   KernelDispatch dispatch() const { return dispatch_; }
 
  private:
-  // Evaluates the policy-width window containing `row` (its not-yet-ready
-  // 8-row groups only) and marks those groups ready.
+  // Evaluates the aligned 32-row block containing `row`, filling
+  // prunes_/nchecks_ for all its rows, and marks the block ready.
   void EvalWindow(size_t row);
-  // Lane evaluation of rows [begin, begin+n) restricted to `init_active`
-  // (bit w = row begin+w), filling prunes_/nchecks_ for those rows.
-  void EvalRows(size_t begin, size_t n, uint32_t init_active);
   // The one lane-evaluation loop of every block path: rows
   // [begin, begin+n) of one aligned 32-row block, restricted to
   // `init_active`. Returns the number L of attributes processed (the loop
@@ -250,26 +236,26 @@ class DominanceKernel {
   // survivors strictly closer somewhere. Adds the lanes to kernel_checks_.
   size_t EvalMasks(size_t begin, size_t n, uint32_t init_active,
                    uint32_t* masks, uint32_t* pruners);
-  // A group's artifacts are valid iff it was evaluated for the current
-  // candidate. Epochs make BeginCandidate O(1) — with one kernel check per
-  // candidate over thousands of candidates per batch, clearing a per-group
-  // array each time would cost O(rows^2) per batch.
-  inline bool GroupReady(size_t g) const {
-    return group_epoch_[g] == epoch_;
+  // A block's per-row artifacts are valid iff it was evaluated for the
+  // current candidate. Epochs make BeginCandidate O(1) — with one kernel
+  // check per candidate over thousands of candidates per batch, clearing a
+  // per-block array each time would cost O(rows^2) per batch.
+  inline bool BlockReady(size_t b) const {
+    return block_epoch_[b] == epoch_;
   }
   inline void EnsureRow(size_t j) {
-    if (!GroupReady(j >> 3)) EvalWindow(j);
+    if (!BlockReady(j / kBlockRows)) EvalWindow(j);
   }
   // Exact scalar probe of row j: same loads, compares and early-abort as
   // PruneContext::Prunes on the current candidate.
   bool ProbeRow(size_t j, uint32_t* nch) const;
   // One pre-promotion row of the Find*/Probe* adapters: returns row j's
   // verdict and adds its scalar check count (reusing the row's artifacts
-  // when its group is already evaluated); a surviving row counts toward
+  // when its block is already evaluated); a surviving row counts toward
   // promotion.
   inline bool ProbeStep(size_t j, uint64_t* checks) {
     bool p;
-    if (GroupReady(j >> 3)) {
+    if (BlockReady(j / kBlockRows)) {
       // Already block-evaluated (an external RowPrunes touch): reuse.
       *checks += nchecks_[j];
       p = prunes_[j] != 0;
@@ -279,17 +265,17 @@ class DominanceKernel {
       ++scalar_rows_;
       *checks += nch;
     }
-    if (!p && ++survived_ >= policy_.promote_rows) {
+    if (!p && ++survived_ >= promote_rows_) {
       promoted_ = true;
       ++promotions_;
     }
     return p;
   }
-  // Bulk evaluation of the whole window [begin, begin+n) with no per-row
+  // Bulk evaluation of the whole block [begin, begin+n) with no per-row
   // artifacts, used by the promoted forward scan. Adds the exact scalar
   // accounting (stopping at the first pruner like the early-aborting
-  // loop) and returns whether the window contains one. The window must
-  // not contain the skipped row or any already-evaluated group.
+  // loop) and returns whether the block contains one. The block must not
+  // contain the skipped row or be already evaluated.
   bool BulkWindow(size_t begin, size_t n, uint64_t* pair_tests,
                   uint64_t* checks);
   // The promoted ring scan from offset `off` on: each side evaluates its
@@ -304,10 +290,9 @@ class DominanceKernel {
   const ColumnarBatch* cols_;
   SharedCandidateCache* shared_;
   KernelDispatch dispatch_;
-  KernelPolicy policy_;
-  size_t num_groups_;
+  uint32_t promote_rows_;
   uint64_t epoch_ = 1;                  // current candidate's epoch
-  std::vector<uint64_t> group_epoch_;   // per 8-row group: last evaluation
+  std::vector<uint64_t> block_epoch_;   // per 32-row block: last evaluation
   std::vector<uint8_t> prunes_;         // per row, current candidate
   std::vector<uint16_t> nchecks_;       // per row, scalar-equivalent checks
   // EvalMasks output, m + 1 words per side of a ring scan; the other

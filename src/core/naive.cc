@@ -1,10 +1,12 @@
 #include "core/naive.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/timer.h"
 #include "core/dominance.h"
 #include "core/dominance_kernel.h"
+#include "core/pruner_scan.h"
 #include "core/query_distance_table.h"
 #include "data/columnar_batch.h"
 #include "storage/paged_reader.h"
@@ -23,8 +25,7 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
   const IoStats io_before = disk->stats();
   disk->InvalidateArmPosition();
 
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   const std::vector<AttrId> selected =
       ResolveSelectedAttrs(schema, opts.selected_attrs);
   const QueryDistanceTable qtable(space, schema, query, selected,
@@ -36,12 +37,13 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
   const uint64_t total_pages = data.num_pages();
   RowBatch outer(m, numerics);
   RowBatch inner(m, numerics);
-  // Kernel path: column-major view of the current inner page. Cached by
-  // page id — the restart pattern means consecutive candidates mostly get
-  // pruned inside the same early page, so the transpose amortizes.
+  // Kernel path: column-major view of the current inner page and one
+  // kernel over it, both cached by page id — the restart pattern means
+  // consecutive candidates mostly get pruned inside the same early page,
+  // so the transpose and the kernel's setup amortize.
   ColumnarBatch cols;
+  std::optional<DominanceKernel> kernel;
   PageId cols_page = 0;
-  bool cols_valid = false;
   for (PageId op = 0; op < total_pages; ++op) {
     outer.Clear();
     NMRS_RETURN_IF_ERROR(data.ReadPageVia(&reader, op, &outer));
@@ -55,37 +57,21 @@ StatusOr<ReverseSkylineResult> NaiveReverseSkyline(
       for (PageId ip = 0; ip < total_pages && !pruned; ++ip) {
         inner.Clear();
         NMRS_RETURN_IF_ERROR(data.ReadPageVia(&reader, ip, &inner));
-        if (opts.use_kernels) {
-          if (!cols_valid || cols_page != ip) {
-            cols.Build(inner);
-            cols_page = ip;
-            cols_valid = true;
-          }
-          DominanceKernel kernel(
-              ctx, cols,
-              {opts.kernel_promote_rows, DominanceKernel::kBlockRows});
-          pruned = kernel.FindPrunerForward(0, inner.size(), x_id,
-                                            &stats.pair_tests, &stats.checks);
-          stats.kernel_checks += kernel.kernel_checks();
-          stats.kernel_promotions += kernel.promotions();
-          stats.kernel_scalar_rows += kernel.scalar_rows();
-          stats.kernel_block_rows += kernel.block_rows();
-          continue;
+        if (opts.use_kernels && (!kernel || cols_page != ip)) {
+          if (kernel) kernel->AddTelemetryTo(&stats);
+          cols.Build(inner);
+          kernel.emplace(ctx, cols, opts.kernel_promote_rows);
+          cols_page = ip;
         }
-        for (size_t j = 0; j < inner.size(); ++j) {
-          if (inner.id(j) == x_id) continue;
-          ++stats.pair_tests;
-          if (ctx.Prunes(inner.row_values(j), inner.row_numerics(j),
-                         &stats.checks)) {
-            pruned = true;
-            break;
-          }
-        }
+        pruned = FindPruner(inner, ctx, kernel ? &*kernel : nullptr,
+                            SearchOrder::kForward, 0, x_id, &stats.pair_tests,
+                            &stats.checks);
       }
       if (!pruned) result.rows.push_back(x_id);
     }
   }
 
+  if (kernel) kernel->AddTelemetryTo(&stats);
   std::sort(result.rows.begin(), result.rows.end());
   stats.phase1_checks = stats.checks;
   stats.result_size = result.rows.size();

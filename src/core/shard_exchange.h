@@ -32,11 +32,12 @@ Status CollectRowsById(const StoredDataset& data, PagedReader* reader,
 
 /// Streams every page of `data` past the in-memory `candidates` batch and
 /// sets (*pruned)[i] = 1 for every candidate some row of `data` prunes
-/// w.r.t. `query` — the BRS phase-2 refinement loop applied to a batch that
-/// arrived over the exchange instead of from a scratch file. Honors
-/// opts.selected_attrs and opts.use_kernels / kernel_promote_rows (each
-/// page gets a columnar view, adaptive dispatch as in Phase 2); verdicts
-/// and check accounting are identical between the scalar and kernel paths.
+/// w.r.t. `query` — the BRS phase-2 refinement (RefineAgainstPages in
+/// core/pruner_scan.h, shared with BRS/SRS phase 2 and the bichromatic
+/// block variant) applied to a batch that arrived over the exchange
+/// instead of from a scratch file. Honors opts.selected_attrs and
+/// opts.use_kernels / kernel_promote_rows; verdicts and check accounting
+/// are identical between the scalar and kernel paths.
 /// pair/check/kernel counters land in *stats (IO is the caller's delta).
 /// *pruned is resized and zeroed first; rows whose id equals a candidate's
 /// id never prune it (identity, as everywhere).

@@ -54,8 +54,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
 
   TreeQueryContext ctx =
       internal_tree::MakeTreeContext(space, schema, query, opts);
-  PagedReader reader(disk, opts.cache_pages ? opts.buffer_pool : nullptr,
-                     MakeReaderOptions(opts));
+  PagedReader reader(disk, opts.buffer_pool, MakeReaderOptions(opts));
   ReverseSkylineResult result;
   QueryStats& stats = result.stats;
 
@@ -244,10 +243,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         constexpr size_t kProbeTrial = 64;
         PruneContext kc(space, schema, query, kernel_selected,
                         &*kernel_qtable);
-        DominanceKernel kernel(
-            kc, leaf_cols,
-            KernelPolicy{opts.kernel_promote_rows,
-                         static_cast<uint32_t>(DominanceKernel::kGroupRows)});
+        DominanceKernel kernel(kc, leaf_cols, opts.kernel_promote_rows);
         std::vector<ValueId> cv(m, 0);
         uint64_t unused_pairs = 0, unused_checks = 0;
         bool probing = true;
@@ -299,10 +295,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
           }
           prunable[li] = p ? 1 : 0;
         }
-        st->kernel_checks += kernel.kernel_checks();
-        st->kernel_promotions += kernel.promotions();
-        st->kernel_scalar_rows += kernel.scalar_rows();
-        st->kernel_block_rows += kernel.block_rows();
+        kernel.AddTelemetryTo(st);
         *out_trialed += trialed;
         *out_escaped += escaped;
       };
@@ -332,13 +325,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
                                &chunk_escaped[c]);
                          });
           for (size_t c = 0; c < num_chunks; ++c) {
-            const QueryStats& cs = chunk_stats[c];
-            stats.pair_tests += cs.pair_tests;
-            stats.checks += cs.checks;
-            stats.kernel_checks += cs.kernel_checks;
-            stats.kernel_promotions += cs.kernel_promotions;
-            stats.kernel_scalar_rows += cs.kernel_scalar_rows;
-            stats.kernel_block_rows += cs.kernel_block_rows;
+            stats.MergeFrom(chunk_stats[c]);
             trialed += chunk_trialed[c];
             escaped += chunk_escaped[c];
           }

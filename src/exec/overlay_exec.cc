@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "core/dominance.h"
+#include "core/pruner_scan.h"
 #include "core/query_distance_table.h"
 #include "sim/matrix_overlay.h"
 
@@ -102,15 +103,11 @@ Status RecheckOverlayGroup(const StoredDataset& data, PagedReader* reader,
         const RowId x_id = cls.sensitive.id(idx);
         ctx.SetCandidate(cls.sensitive.row_values(idx),
                          cls.sensitive.row_numerics(idx));
-        for (size_t r = 0; r < page.size(); ++r) {
-          if (page.id(r) == x_id) continue;  // a row never prunes itself
-          ++stats->pair_tests;
-          if (ctx.Prunes(page.row_values(r), page.row_numerics(r),
-                         &stats->checks)) {
-            live[j] = 0;
-            --pending[g];
-            break;
-          }
+        // A row never prunes itself: skip x_id.
+        if (FindPruner(page, ctx, nullptr, SearchOrder::kForward, 0, x_id,
+                       &stats->pair_tests, &stats->checks)) {
+          live[j] = 0;
+          --pending[g];
         }
       }
     }

@@ -194,13 +194,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   auto make_rs = [&](int s) {
     RSOptions rs = opts_.rs;
     if (rs.num_threads > 1 && rs.executor == nullptr) rs.executor = &pool_;
-    if (pool_caches_[s] != nullptr) {
-      rs.cache_pages = true;
-      rs.buffer_pool = pool_caches_[s].get();
-    } else {
-      rs.cache_pages = false;
-      rs.buffer_pool = nullptr;
-    }
+    rs.buffer_pool = pool_caches_[s].get();
     if (sharded_->shard(s).checksum_pages()) {
       rs.resilience.checksum_pages = true;
     }
@@ -262,8 +256,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
                 // the payload the shard would put on the wire.
                 view->InvalidateArmPosition();
                 const IoStats before_collect = rset.WorkerStats(w);
-                PagedReader creader(view,
-                                    rs.cache_pages ? rs.buffer_pool : nullptr,
+                PagedReader creader(view, rs.buffer_pool,
                                     MakeReaderOptions(rs));
                 cand[q][s].Clear();
                 Status cs = CollectRowsById(shard_data, &creader,
@@ -369,8 +362,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
               // so, which counts as a failed attempt like any other.
               attempt_disk->InvalidateArmPosition();
               const IoStats before_collect = rset.WorkerStats(w);
-              PagedReader creader(attempt_disk,
-                                  rs.cache_pages ? rs.buffer_pool : nullptr,
+              PagedReader creader(attempt_disk, rs.buffer_pool,
                                   MakeReaderOptions(rs));
               cand[q][s].Clear();
               Status cs = CollectRowsById(shard_prep.stored, &creader,
@@ -511,8 +503,7 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
                                      shard.checksum_pages());
             attempt_disk->InvalidateArmPosition();
             const IoStats before = rset.WorkerStats(w);
-            PagedReader reader(attempt_disk,
-                               rs.cache_pages ? rs.buffer_pool : nullptr,
+            PagedReader reader(attempt_disk, rs.buffer_pool,
                                MakeReaderOptions(rs));
             QueryStats vs;
             Timer verify_timer;

@@ -118,6 +118,21 @@ TEST(BichromaticTest, IdenticalValueAcrossSetsStillPrunes) {
   auto tree = BichromaticTreeRS(*sc, *sp, space, q);
   ASSERT_TRUE(tree.ok());
   EXPECT_TRUE(tree->rows.empty());
+  // The block variant too, on the scalar scan and on the kernel path
+  // (probe and block regimes): both rows carry id 0, and ids of the two
+  // sets are unrelated, so the shared id must not exempt the competitor.
+  for (const bool kernels : {false, true}) {
+    for (const uint32_t promote : {0u, 16u}) {
+      RSOptions opts;
+      opts.use_kernels = kernels;
+      opts.kernel_promote_rows = promote;
+      auto block = BichromaticBlockRS(*sc, *sp, space, q, opts);
+      ASSERT_TRUE(block.ok());
+      EXPECT_TRUE(block->rows.empty())
+          << "kernels=" << kernels << " promote=" << promote;
+      EXPECT_EQ(block->stats.pair_tests, 1u);
+    }
+  }
 }
 
 TEST(BichromaticTest, EmptyCompetitorsKeepsAllCandidates) {

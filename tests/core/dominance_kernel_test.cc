@@ -325,7 +325,7 @@ TEST(DominanceKernelTest, FindAdaptersMatchScalarScans) {
               SharedCandidateCache cache;
               if (shared) cache.Attach(ctx, cols);
               for (const uint32_t promote : kPromote) {
-                DominanceKernel kernel(ctx, cols, {promote, 32},
+                DominanceKernel kernel(ctx, cols, promote,
                                        shared ? &cache : nullptr);
                 for (size_t center = 0; center < n; ++center) {
                   ctx.SetCandidate(rows.row_values(center),
@@ -425,7 +425,7 @@ TEST(DominanceKernelTest, RingTieGoesToLeftRow) {
         cols.Build(rows);
         ctx.SetCandidate(x.data(), nullptr);
         for (const uint32_t promote : {0u, 1u, 2u, 16u, kNeverPromote}) {
-          DominanceKernel kernel(ctx, cols, {promote, 32});
+          DominanceKernel kernel(ctx, cols, promote);
           const ScanOutcome want = ScalarRing(rows, ctx, center, center);
           const ScanOutcome got = KernelRing(kernel, center, center);
           ASSERT_TRUE(want.found);

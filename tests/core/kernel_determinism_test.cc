@@ -140,10 +140,7 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
       BufferPool scalar_pool(&disk,
                              BufferPoolOptions::FromBudget(MemoryBudget{8}));
       RSOptions scalar_opts = base;
-      if (cache) {
-        scalar_opts.cache_pages = true;
-        scalar_opts.buffer_pool = &scalar_pool;
-      }
+      if (cache) scalar_opts.buffer_pool = &scalar_pool;
       auto scalar = RunReverseSkyline(*prep, inst.space, inst.query, algo,
                                       scalar_opts);
       ASSERT_TRUE(scalar.ok()) << AlgorithmName(algo);
@@ -154,10 +151,7 @@ TEST_P(KernelDeterminismSweep, WiredAlgorithmsAreBitIdentical) {
         RSOptions kernel_opts = base;
         kernel_opts.use_kernels = true;
         kernel_opts.kernel_promote_rows = promote;
-        if (cache) {
-          kernel_opts.cache_pages = true;
-          kernel_opts.buffer_pool = &kernel_pool;
-        }
+        if (cache) kernel_opts.buffer_pool = &kernel_pool;
         auto kernel = RunReverseSkyline(*prep, inst.space, inst.query, algo,
                                         kernel_opts);
         ASSERT_TRUE(kernel.ok()) << AlgorithmName(algo);

@@ -166,8 +166,7 @@ KernelRun RunKernel(const Config& c, PruneContext& ctx,
   KernelRun run;
   SharedCandidateCache cache;
   if (c.shared) cache.Attach(ctx, cols);
-  DominanceKernel kernel(ctx, cols,
-                         {c.promote_rows, DominanceKernel::kBlockRows},
+  DominanceKernel kernel(ctx, cols, c.promote_rows,
                          c.shared ? &cache : nullptr);
   for (size_t center : c.centers) {
     ctx.SetCandidate(c.rows.row_values(center), c.rows.row_numerics(center));

@@ -17,6 +17,12 @@
 // --min-replicas=2 restricts the sweep to multi-replica configs (the ci.sh
 // replica chaos stage).
 //
+// The faulted runs also draw RSOptions::use_kernels and a kernel promotion
+// threshold from {0, 16, never}, so the kernel branches of every scan —
+// the sharded exchange verify included — run under faults and are checked
+// against the scalar clean baseline. Those two draws come from their own
+// Rng seeded by the config index, leaving every other draw as it was.
+//
 // Usage: chaos_soak [--configs=N] [--seed=S] [--min-replicas=R]
 // (defaults: 500, 20260807, 1)
 #include <algorithm>
@@ -126,6 +132,12 @@ void CheckConfig(int index, uint64_t scenario_seed, int min_replicas) {
   fopts.faults = MakeFaults(rng, *prepared, s.checksums);
   fopts.rs.resilience.retry.max_attempts = 1 + static_cast<int>(rng.Uniform(3));
   fopts.max_query_retries = static_cast<int>(rng.Uniform(2));
+  {
+    Rng kernel_rng(static_cast<uint64_t>(index));
+    constexpr uint32_t kPromote[] = {0, 16, 1u << 30};
+    fopts.rs.use_kernels = kernel_rng.Bernoulli(0.5);
+    fopts.rs.kernel_promote_rows = kPromote[kernel_rng.Uniform(3)];
+  }
 
   // Replica failover (docs/ROBUSTNESS.md): 1..3 replicas. With >= 2, most
   // configs fault only replica 0 — sometimes killing it outright — which

@@ -254,6 +254,54 @@ TEST(ShardedDeterminismTest, FaultedSingleReplicaFailsQueriesInIsolation) {
   ExpectSameRows(got, serial, "worker-invariance under faults");
 }
 
+// The exchange verify on the kernel path (PruneCandidatesAgainstShard with
+// use_kernels, per-page kernels through the shared refinement): rows equal
+// the sequential reference for every algorithm, shard count, partitioner
+// and promotion threshold (0 = always block, 16 = the default adaptive
+// probe, 1<<30 = never promoted). The flat scans (Naive/BRS/SRS) reproduce
+// the scalar accounting exactly, so their per-query checks and pair tests
+// must also equal the kernels-off run at the same shard count.
+class ShardedKernelTest : public ::testing::TestWithParam<Algorithm> {};
+
+TEST_P(ShardedKernelTest, ExchangeVerifyMatchesScalarRun) {
+  const Algorithm algo = GetParam();
+  const std::vector<ReverseSkylineResult> want = RunSequential(algo);
+  const bool exact_counts = algo != Algorithm::kTRS;
+  for (int shards = 2; shards <= 4; ++shards) {
+    for (ShardBy by : {ShardBy::kZOrderRange, ShardBy::kHash}) {
+      Fixture fx(algo, shards, by);
+      const ShardedBatchResult scalar = fx.Run();
+      for (const uint32_t promote : {0u, 16u, 1u << 30}) {
+        EngineOptions opts;
+        opts.rs.use_kernels = true;
+        opts.rs.kernel_promote_rows = promote;
+        const ShardedBatchResult got = fx.Run(opts);
+        const std::string label =
+            std::string(AlgorithmName(algo)) + " shards=" +
+            std::to_string(shards) + " by=" + std::string(ShardByName(by)) +
+            " promote=" + std::to_string(promote);
+        ExpectSameRows(got, want, label);
+        EXPECT_EQ(got.total_messages, scalar.total_messages) << label;
+        if (!exact_counts) continue;
+        for (size_t i = 0; i < got.results.size(); ++i) {
+          const QueryStats& k = got.results[i].stats;
+          const QueryStats& s = scalar.results[i].stats;
+          EXPECT_EQ(k.checks, s.checks) << label << " query " << i;
+          EXPECT_EQ(k.pair_tests, s.pair_tests) << label << " query " << i;
+          EXPECT_GT(k.kernel_checks + k.kernel_scalar_rows, 0u)
+              << label << " query " << i;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ShardedKernelTest,
+                         ::testing::ValuesIn(kAllAlgorithms),
+                         [](const ::testing::TestParamInfo<Algorithm>& info) {
+                           return std::string(AlgorithmName(info.param));
+                         });
+
 TEST(ShardedDeterminismTest, MessageLedgerIsConsistent) {
   Fixture fx(Algorithm::kBRS, 4);
   ShardedBatchResult got = fx.Run();
