@@ -1,6 +1,7 @@
 #ifndef NMRS_COMMON_SYNC_H_
 #define NMRS_COMMON_SYNC_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
@@ -57,6 +58,16 @@ class WaitGroup {
 /// chunk has finished.
 void ParallelChunks(TaskExecutor* exec, int num_threads, size_t num_chunks,
                     const std::function<void(size_t)>& fn);
+
+/// Chunk count for splitting n work items across `num_threads` threads:
+/// 1 (run everything on the caller) when num_threads <= 1, otherwise
+/// `per_thread` chunks per thread — more chunks than threads let the
+/// work-stealing pool balance uneven item costs — capped at n (but >= 1).
+inline size_t NumChunks(int num_threads, size_t n, size_t per_thread) {
+  if (num_threads <= 1) return 1;
+  return std::max<size_t>(
+      1, std::min(n, static_cast<size_t>(num_threads) * per_thread));
+}
 
 /// Splits [0, n) into `chunks` half-open ranges of near-equal size;
 /// chunk c is [ChunkBegin(n, chunks, c), ChunkBegin(n, chunks, c + 1)).

@@ -39,10 +39,13 @@ void Phase1CheckRange(const RowBatch& batch, const ColumnarBatch* cols,
 
 // Intra-batch pruning of one loaded batch; appends survivors to *writer.
 // Pruned objects keep acting as pruners (paper Alg. 2 lines 4-7 iterate all
-// loaded Y). With opts.num_threads > 1 the candidate checks are chunked
-// across threads (each chunk with its own PruneContext and QueryStats,
-// summed in chunk order); survivors are still written in scan order, so
-// results, check totals, and IO match the sequential run exactly.
+// loaded Y). The candidate checks run as one loop over chunks: a single
+// chunk on the caller's `ctx` without intra-query threads, otherwise four
+// chunks per thread (each with its own PruneContext and QueryStats,
+// summed in chunk order) so the work-stealing pool can balance the uneven
+// per-candidate cost (a candidate pruned early is cheap). Survivors are
+// still written in scan order, so results, check totals, and IO match the
+// one-chunk run exactly.
 Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
                    const Schema& schema, const Object& query,
                    const RSOptions& opts, PruneContext& ctx,
@@ -55,27 +58,19 @@ Status Phase1Batch(const RowBatch& batch, const SimilaritySpace& space,
   ColumnarBatch cols;
   if (opts.use_kernels) cols.Build(batch);
   const ColumnarBatch* view = opts.use_kernels ? &cols : nullptr;
-  if (opts.num_threads <= 1 || n < 2) {
-    Phase1CheckRange(batch, view, ctx, order, opts.kernel_promote_rows, 0, n,
-                     stats, pruned.data());
-  } else {
-    // More chunks than threads so the work-stealing pool can balance the
-    // uneven per-candidate cost (a candidate pruned early is cheap).
-    const size_t num_chunks =
-        std::min(n, static_cast<size_t>(opts.num_threads) * 4);
-    std::vector<QueryStats> chunk_stats(num_chunks);
-    ParallelChunks(opts.executor, opts.num_threads, num_chunks,
-                   [&](size_t c) {
-                     PruneContext chunk_ctx(space, schema, query,
-                                            ctx.selected(), &qtable);
-                     Phase1CheckRange(batch, view, chunk_ctx, order,
-                                      opts.kernel_promote_rows,
-                                      ChunkBegin(n, num_chunks, c),
-                                      ChunkBegin(n, num_chunks, c + 1),
-                                      &chunk_stats[c], pruned.data());
-                   });
-    for (const QueryStats& cs : chunk_stats) stats->MergeFrom(cs);
-  }
+  const size_t num_chunks = NumChunks(opts.num_threads, n, 4);
+  std::vector<QueryStats> chunk_stats(num_chunks);
+  ParallelChunks(opts.executor, opts.num_threads, num_chunks, [&](size_t c) {
+    std::optional<PruneContext> chunk_ctx;
+    if (num_chunks > 1) {
+      chunk_ctx.emplace(space, schema, query, ctx.selected(), &qtable);
+    }
+    Phase1CheckRange(batch, view, chunk_ctx ? *chunk_ctx : ctx, order,
+                     opts.kernel_promote_rows, ChunkBegin(n, num_chunks, c),
+                     ChunkBegin(n, num_chunks, c + 1), &chunk_stats[c],
+                     pruned.data());
+  });
+  for (const QueryStats& cs : chunk_stats) stats->MergeFrom(cs);
   for (size_t i = 0; i < n; ++i) {
     if (!pruned[i]) {
       NMRS_RETURN_IF_ERROR(writer->Add(batch.id(i), batch.row_values(i),

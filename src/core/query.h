@@ -40,9 +40,12 @@ struct RSOptions {
   /// execution of the paper reproduction — results, check counts, and IO
   /// are bit-identical to the seed implementation. Values > 1 split each
   /// loaded phase-1 batch into chunks of candidates checked concurrently;
-  /// results, check totals, and IO stay identical to the sequential run
-  /// (candidate checks are independent and survivors are still written in
-  /// scan order), only wall-clock changes. See docs/PARALLELISM.md.
+  /// results, survivors and IO stay identical to the sequential run
+  /// (candidate verdicts are independent and survivors are still written
+  /// in scan order), and so do check totals, except for TRS with
+  /// use_kernels: its probe-futility trial runs per chunk, so its checks
+  /// and kernel telemetry depend on the chunk count (deterministic for a
+  /// fixed one). See docs/PARALLELISM.md.
   int num_threads = 1;
 
   /// Executor hosting the extra phase-1 threads (borrowed, not owned).

@@ -87,12 +87,6 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
     PageId next_page = 0;
     const uint64_t budget = opts.memory.pages * page_size;
     std::vector<ValueId> c_values(m, 0);
-    std::vector<double> rhs(m, 0.0);
-    std::vector<TraversalEntry> stack;
-    stack.reserve(256);
-    std::vector<FastEntry> fast_stack;
-    fast_stack.reserve(256);
-    std::vector<Phase1Level> p1_levels(m);
     while (next_page < sorted_data.num_pages()) {
       ++stats.phase1_batches;
       tree.Clear();
@@ -104,42 +98,6 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
       tree.ForEachActiveLeaf([&](NodeId l) { leaves.push_back(l); });
       const size_t num_leaves = leaves.size();
       std::vector<uint8_t> prunable(num_leaves, 0);
-
-      // Checks leaves [begin, end) against `t` (which must carry the same
-      // structure as `tree`), with caller-owned scratch and counters. The
-      // per-leaf work only TempRemoves/TempRestores the leaf under test,
-      // so chunks run on private tree copies without interfering.
-      auto check_leaves = [&](ALTree& t, size_t begin, size_t end,
-                              QueryStats* st,
-                              std::vector<ValueId>& c_vals,
-                              std::vector<double>& c_rhs,
-                              std::vector<TraversalEntry>& t_stack,
-                              std::vector<FastEntry>& t_fast_stack,
-                              std::vector<Phase1Level>& levels) {
-        for (size_t li = begin; li < end; ++li) {
-          const NodeId leaf = leaves[li];
-          internal_tree::LeafValues(t, leaf, ctx.attr_order, &c_vals);
-          // Remove one instance of c so it cannot prune itself (Alg. 3
-          // line 5, "M \ c"); remaining duplicates still count as pruners.
-          t.TempRemoveLeaf(leaf);
-          ++st->pair_tests;
-          bool p;
-          if (ctx.fast_path) {
-            for (size_t l = 0; l < m; ++l) {
-              const AttrId a = ctx.attr_order[l];
-              levels[l].col = space.matrix(a).ColumnTo(c_vals[a]);
-              levels[l].rhs = ctx.q_row_by_level[l][c_vals[a]];
-            }
-            p = internal_tree::IsPrunableFast(t, levels, st, t_fast_stack);
-          } else {
-            internal_tree::ComputeRhs(ctx, c_vals, &c_rhs);
-            p = internal_tree::IsPrunable(t, ctx, c_vals, c_rhs, st,
-                                          t_stack);
-          }
-          t.TempRestore(leaf);
-          prunable[li] = p ? 1 : 0;
-        }
-      };
 
       // Kernel phase 1, probe -> traversal hybrid: a short prefix of the
       // active leaves becomes a columnar block and every candidate leaf
@@ -164,7 +122,7 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
       // majority past the kProbeTrial mark, and a majority-escaping
       // batch turns probing off for the query's remaining batches (the
       // escape decision depends only on verdicts, keeping the cut
-      // deterministic and dispatch-invariant). Verdicts — and therefore
+      // deterministic for a fixed chunk count). Verdicts — and therefore
       // survivors, results, and IO — are identical in all regimes:
       // probe and traversal are both exact Definition-1 pruner
       // searches, with "M \ c" realized by skipping c's own leaf in the
@@ -224,15 +182,18 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         }
         leaf_cols.BuildFromColumns(probe_prefix, columns, leaf_ids);
       }
-      // Probes leaf_cols for the cheap candidates and escapes to the
-      // traversal of `t` for the promoted ones; TempRemoveLeaf mutates,
-      // so parallel chunks pass private tree copies like the scalar path.
-      auto check_leaves_kernel = [&](ALTree& t, size_t begin, size_t end,
-                                     QueryStats* st,
-                                     std::vector<FastEntry>& t_fast_stack,
-                                     std::vector<Phase1Level>& levels,
-                                     size_t* out_trialed,
-                                     size_t* out_escaped) {
+
+      // Checks leaves [begin, end) against `t` (which must carry the same
+      // structure as `tree`), with chunk-owned scratch and counters: the
+      // optional probe over leaf_cols, then the fast or general traversal.
+      // The per-leaf work only TempRemoves/TempRestores the leaf under
+      // test, so chunks run on private tree copies without interfering.
+      // Returns the chunk's probe-futility tally.
+      struct ProbeTally {
+        size_t trialed = 0, escaped = 0;
+      };
+      auto check_leaves = [&](ALTree& t, size_t begin, size_t end,
+                              QueryStats* st) {
         // Probe-futility trial: once this many candidates have been
         // probed, a chunk whose escapes reach a majority stops probing —
         // the probe rows were pure overhead on top of the traversals
@@ -241,34 +202,47 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
         // majority-escaping stretch anywhere means the probe is losing
         // from there on.
         constexpr size_t kProbeTrial = 64;
-        PruneContext kc(space, schema, query, kernel_selected,
-                        &*kernel_qtable);
-        DominanceKernel kernel(kc, leaf_cols, opts.kernel_promote_rows);
-        std::vector<ValueId> cv(m, 0);
+        std::optional<PruneContext> kc;
+        std::optional<DominanceKernel> kernel;
+        if (probe_p1) {
+          kc.emplace(space, schema, query, kernel_selected, &*kernel_qtable);
+          kernel.emplace(*kc, leaf_cols, opts.kernel_promote_rows);
+        }
+        ProbeTally tally;
+        bool probing = probe_p1;
         uint64_t unused_pairs = 0, unused_checks = 0;
-        bool probing = true;
-        size_t trialed = 0, escaped = 0;
         // A partial prefix cannot prove "no pruner anywhere" — only a
         // block covering every leaf makes exhaustion a verdict.
         const bool exhaust_resolves = probe_prefix == num_leaves;
+        std::vector<ValueId> cv(m, 0);
+        std::vector<double> c_rhs(m, 0.0);
+        std::vector<TraversalEntry> t_stack;
+        std::vector<FastEntry> t_fast_stack;
+        t_fast_stack.reserve(256);
+        if (!ctx.fast_path) t_stack.reserve(256);
+        std::vector<Phase1Level> levels(m);
         for (size_t li = begin; li < end; ++li) {
           const NodeId leaf = leaves[li];
-          // The scoring pass already walked every leaf's values — skip
-          // the per-candidate walk up the tree.
-          for (size_t a = 0; a < m; ++a) cv[a] = all_vals[li * m + a];
+          if (probe_p1) {
+            // The scoring pass already walked every leaf's values — skip
+            // the per-candidate walk up the tree.
+            for (size_t a = 0; a < m; ++a) cv[a] = all_vals[li * m + a];
+          } else {
+            internal_tree::LeafValues(t, leaf, ctx.attr_order, &cv);
+          }
           ++st->pair_tests;
           bool resolved = false;
           bool p = false;
           if (probing) {
-            kc.SetCandidate(cv.data(), nullptr);
-            kernel.BeginCandidate();
+            kc->SetCandidate(cv.data(), nullptr);
+            kernel->BeginCandidate();
             // Block rows carry original leaf indices as ids, so skipping
             // c's own single-instance leaf works wherever (and whether)
             // it landed in the reordered block.
             const RowId skip = t.LeafRows(leaf).size() == 1
                                    ? static_cast<RowId>(li)
                                    : kInvalidRowId;
-            const DominanceKernel::ProbeResult probe = kernel.ProbeForward(
+            const DominanceKernel::ProbeResult probe = kernel->ProbeForward(
                 0, probe_prefix, skip, &unused_pairs, &unused_checks);
             if (probe == DominanceKernel::ProbeResult::kPruner) {
               resolved = true;
@@ -277,93 +251,70 @@ StatusOr<ReverseSkylineResult> TreeReverseSkyline(
                        exhaust_resolves) {
               resolved = true;
             } else {
-              ++escaped;
+              ++tally.escaped;
             }
-            if (++trialed >= kProbeTrial && escaped * 2 > trialed) {
+            if (++tally.trialed >= kProbeTrial &&
+                tally.escaped * 2 > tally.trialed) {
               probing = false;
             }
           }
           if (!resolved) {
-            for (size_t l = 0; l < m; ++l) {
-              const AttrId a = ctx.attr_order[l];
-              levels[l].col = space.matrix(a).ColumnTo(cv[a]);
-              levels[l].rhs = ctx.q_row_by_level[l][cv[a]];
-            }
+            // Remove one instance of c so it cannot prune itself (Alg. 3
+            // line 5, "M \ c"); remaining duplicates still count as
+            // pruners.
             t.TempRemoveLeaf(leaf);
-            p = internal_tree::IsPrunableFast(t, levels, st, t_fast_stack);
+            if (ctx.fast_path) {
+              for (size_t l = 0; l < m; ++l) {
+                const AttrId a = ctx.attr_order[l];
+                levels[l].col = space.matrix(a).ColumnTo(cv[a]);
+                levels[l].rhs = ctx.q_row_by_level[l][cv[a]];
+              }
+              p = internal_tree::IsPrunableFast(t, levels, st, t_fast_stack);
+            } else {
+              internal_tree::ComputeRhs(ctx, cv, &c_rhs);
+              p = internal_tree::IsPrunable(t, ctx, cv, c_rhs, st, t_stack);
+            }
             t.TempRestore(leaf);
           }
           prunable[li] = p ? 1 : 0;
         }
-        kernel.AddTelemetryTo(st);
-        *out_trialed += trialed;
-        *out_escaped += escaped;
+        if (kernel) kernel->AddTelemetryTo(st);
+        return tally;
       };
 
-      if (probe_p1) {
-        size_t trialed = 0, escaped = 0;
-        if (opts.num_threads <= 1 || num_leaves < 2) {
-          check_leaves_kernel(tree, 0, num_leaves, &stats, fast_stack,
-                              p1_levels, &trialed, &escaped);
-        } else {
-          const size_t num_chunks = std::min(
-              num_leaves, static_cast<size_t>(opts.num_threads) * 2);
-          std::vector<QueryStats> chunk_stats(num_chunks);
-          std::vector<size_t> chunk_trialed(num_chunks, 0);
-          std::vector<size_t> chunk_escaped(num_chunks, 0);
-          ParallelChunks(opts.executor, opts.num_threads, num_chunks,
-                         [&](size_t c) {
-                           ALTree chunk_tree = tree;
-                           std::vector<FastEntry> cf;
-                           cf.reserve(256);
-                           std::vector<Phase1Level> cl(m);
-                           check_leaves_kernel(
-                               chunk_tree,
-                               ChunkBegin(num_leaves, num_chunks, c),
-                               ChunkBegin(num_leaves, num_chunks, c + 1),
-                               &chunk_stats[c], cf, cl, &chunk_trialed[c],
-                               &chunk_escaped[c]);
-                         });
-          for (size_t c = 0; c < num_chunks; ++c) {
-            stats.MergeFrom(chunk_stats[c]);
-            trialed += chunk_trialed[c];
-            escaped += chunk_escaped[c];
-          }
-        }
-        // A majority-escaping batch condemns the probe for the rest of
-        // the query: later batches take the scalar dispatch below and
-        // skip the columnar build entirely.
-        probe_batches = escaped * 2 <= trialed;
-      } else if (opts.num_threads <= 1 || num_leaves < 2) {
-        check_leaves(tree, 0, num_leaves, &stats, c_values, rhs, stack,
-                     fast_stack, p1_levels);
-      } else {
-        // Each chunk checks its leaves against a private copy of the tree
-        // (TempRemove mutates descendant counts along the leaf's path).
-        // Per-leaf checks are independent, so totals summed in chunk order
-        // equal the sequential counts exactly.
-        const size_t num_chunks = std::min(
-            num_leaves, static_cast<size_t>(opts.num_threads) * 2);
-        std::vector<QueryStats> chunk_stats(num_chunks);
-        ParallelChunks(
-            opts.executor, opts.num_threads, num_chunks, [&](size_t c) {
-              ALTree chunk_tree = tree;
-              std::vector<ValueId> cv(m, 0);
-              std::vector<double> cr(m, 0.0);
-              std::vector<TraversalEntry> cs;
-              cs.reserve(256);
-              std::vector<FastEntry> cf;
-              cf.reserve(256);
-              std::vector<Phase1Level> cl(m);
-              check_leaves(chunk_tree, ChunkBegin(num_leaves, num_chunks, c),
+      // One chunk (no intra-query threads) checks every leaf on `tree`
+      // itself; with threads, two chunks per thread let the work-stealing
+      // pool balance the uneven per-leaf cost, each on a private copy of
+      // the tree (TempRemove mutates descendant counts along the leaf's
+      // path). Verdicts are per leaf, so survivors, results and IO never
+      // depend on the chunk count; without the probe the check totals
+      // summed in chunk order equal the one-chunk counts too. The probe's
+      // futility trial runs per chunk, so with it on which leaves are
+      // probed — and so checks and kernel telemetry — depend on the chunk
+      // count (docs/PARALLELISM.md).
+      const size_t num_chunks = NumChunks(opts.num_threads, num_leaves, 2);
+      std::vector<QueryStats> chunk_stats(num_chunks);
+      std::vector<ProbeTally> chunk_tally(num_chunks);
+      ParallelChunks(opts.executor, opts.num_threads, num_chunks,
+                     [&](size_t c) {
+                       std::optional<ALTree> copy;
+                       if (num_chunks > 1) copy.emplace(tree);
+                       chunk_tally[c] = check_leaves(
+                           copy ? *copy : tree,
+                           ChunkBegin(num_leaves, num_chunks, c),
                            ChunkBegin(num_leaves, num_chunks, c + 1),
-                           &chunk_stats[c], cv, cr, cs, cf, cl);
-            });
-        for (const QueryStats& cs : chunk_stats) {
-          stats.pair_tests += cs.pair_tests;
-          stats.checks += cs.checks;
-        }
+                           &chunk_stats[c]);
+                     });
+      ProbeTally tally;
+      for (size_t c = 0; c < num_chunks; ++c) {
+        stats.MergeFrom(chunk_stats[c]);
+        tally.trialed += chunk_tally[c].trialed;
+        tally.escaped += chunk_tally[c].escaped;
       }
+      // A majority-escaping batch condemns the probe for the rest of the
+      // query: later batches take the plain traversal and skip the
+      // columnar build entirely.
+      if (probe_p1) probe_batches = tally.escaped * 2 <= tally.trialed;
 
       // Survivors are spilled in leaf (scan) order regardless of how the
       // checks were executed, keeping the scratch file and its IO

@@ -122,6 +122,82 @@ ShardedQueryEngine::ShardedQueryEngine(const ShardedDataset& sharded,
   }
 }
 
+namespace {
+
+// Export: one scan collecting `result`'s surviving candidates' row data
+// through the task's disk — the payload the shard would put on the wire.
+// A real shard re-reads rows to serialize them and may fail doing so. The
+// scan's IO (worker-wide: failover reads land on this worker's other
+// replica views too) and backoff are charged to result->stats.
+Status ExportCandidates(const StoredDataset& shard, const ReplicaSet& rset,
+                        int w, const RSOptions& rs,
+                        ReverseSkylineResult* result, RowBatch* out) {
+  shard.disk()->InvalidateArmPosition();
+  const IoStats before = rset.WorkerStats(w);
+  PagedReader reader(shard.disk(), rs.buffer_pool, MakeReaderOptions(rs));
+  out->Clear();
+  Status st = CollectRowsById(shard, &reader, result->rows, out);
+  IoStats io = rset.WorkerStats(w) - before;
+  reader.FoldStatsInto(&io);
+  result->stats.io += io;
+  result->stats.modeled_backoff_millis += reader.modeled_backoff_millis();
+  return st;
+}
+
+}  // namespace
+
+Status ShardedQueryEngine::RunShardTask(int s, int w, uint64_t stream,
+                                        RSOptions rs,
+                                        const ShardTaskBody& body,
+                                        std::atomic<uint64_t>* retried) const {
+  const ReplicaSet& rset = *replica_sets_[s];
+  const int num_replicas = rset.num_replicas();
+  // With fault injection on, the task reads through its own FaultyDisk per
+  // replica whose stream is fixed by (query, shard), not by which worker
+  // runs it. The fault ceiling restricts injection to the frozen base and
+  // shard files: scratch-file ids are assigned in execution order, so
+  // faulting them would reintroduce a scheduling dependence.
+  std::vector<std::unique_ptr<FaultyDisk>> wrappers;
+  const std::vector<SimulatedDisk*> disks =
+      rset.MakeQueryDisks(w, stream, &wrappers);
+  // Failover replica views persist across the tasks this worker runs, so
+  // reset their disk arms: within a task the failover read sequence is then
+  // fixed, making its seq/rand IO split independent of which tasks ran
+  // earlier on this worker.
+  for (int r = 1; r < num_replicas; ++r) {
+    rset.view(w, r)->InvalidateArmPosition();
+  }
+  if (num_replicas > 1) {
+    rs.failover_disks.assign(disks.begin() + 1, disks.end());
+    rs.failover_limit = fault_ceiling_;
+  }
+
+  const StoredDataset& shard = sharded_->shard(s);
+  const int attempts = 1 + std::max(0, opts_.max_query_retries);
+  Status st = Status::OK();
+  for (int attempt = 0; attempt < attempts; ++attempt) {
+    // Retries re-run on the clean view: no fault wrapper, and no failover
+    // disks either (the clean view cannot fail).
+    SimulatedDisk* disk = attempt == 0 ? disks[0] : rset.view(w, 0);
+    if (attempt == 1) {
+      rs.failover_disks.clear();
+      rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
+    }
+    // Re-wrap the shard over this attempt's disk: the file id and layout
+    // are the base disk's, the IO accounting (and any injected faults) are
+    // this disk's.
+    st = body(StoredDataset(disk, shard.file(), shard.schema(),
+                            shard.num_rows(), shard.checksum_pages()),
+              rs);
+    if (st.ok()) {
+      if (attempt > 0) retried->fetch_add(1, std::memory_order_relaxed);
+      break;
+    }
+    if (!st.IsStorageFault()) break;
+  }
+  return st;
+}
+
 StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
     const std::vector<Object>& queries) {
   // Reject out-of-range policies up front instead of bending them: the
@@ -164,13 +240,26 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   QuarantineLog quarantine;
   std::atomic<uint64_t> retried{0};
   std::mutex max_task_mu;
-  // Records one task's modeled cost against its shard's critical-path
-  // bound; lane += stays lock-free since each (shard, worker) lane is only
-  // touched by its own pool worker.
-  auto note_task = [&](size_t s, double modeled) {
-    std::lock_guard<std::mutex> lock(max_task_mu);
-    double& mx = batch.shard_max_task_modeled_millis[s];
-    mx = std::max(mx, modeled);
+  WaitGroup wg;
+  // Runs task(w) on whichever pool worker w picks it up and charges the
+  // modeled millis it returns to lane (s, w) and to shard s's
+  // critical-path bound. Lane += stays lock-free since each (shard,
+  // worker) lane is only touched by its own pool worker.
+  auto submit = [&](int s, std::function<double(int)> task) {
+    wg.Add(1);
+    pool_.Submit([&, s, task = std::move(task)] {
+      const int w = pool_.CurrentWorkerIndex();
+      NMRS_CHECK_GE(w, 0);
+      const double modeled = task(w);
+      batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
+          modeled;
+      {
+        std::lock_guard<std::mutex> lock(max_task_mu);
+        double& mx = batch.shard_max_task_modeled_millis[s];
+        mx = std::max(mx, modeled);
+      }
+      wg.Done();
+    });
   };
 
   // Per-(query, shard) scatter outputs; each slot is touched by exactly one
@@ -203,21 +292,21 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   };
 
   // ---- Scatter: every (query, active shard) runs the full algorithm over
-  // the shard's local rows, then serializes its surviving candidates for
-  // the exchange. ----
+  // the shard's local rows, then exports its surviving candidates for the
+  // exchange. ----
   // Cross-query scan sharing applies when nothing couples a query to its
   // own private disk wrapper: no fault injection (a shared fetch must be
   // clean for everyone), no replica failover (failover views are per query
   // task), and a BRS/SRS plan (the shared pass implements their phase 1).
-  // Groups are formed by query index, so membership — and therefore every
-  // per-query result and the batch totals — is independent of worker count
-  // and work-stealing order.
+  // The runner then reads the plain worker view. Groups are formed by
+  // query index, so membership — and therefore every per-query result and
+  // the batch totals — is independent of worker count and work-stealing
+  // order.
   const bool shared_eligible =
       opts_.shared_scan && !replica_sets_[0]->faulted() &&
       replica_sets_[0]->num_replicas() == 1 &&
       (algo_ == Algorithm::kBRS || algo_ == Algorithm::kSRS);
 
-  WaitGroup wg;
   if (shared_eligible && !queries.empty()) {
     ConcurrentIoStats shared_io;
     std::atomic<uint64_t> shared_batches{0};
@@ -225,71 +314,56 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
     const size_t group_size =
         std::max<size_t>(1, opts_.shared_scan_group);
     const size_t num_groups = (num_queries + group_size - 1) / group_size;
-    wg.Add(static_cast<int>(num_groups * active.size()));
     for (size_t g = 0; g < num_groups; ++g) {
       for (int s : active) {
-        pool_.Submit([&, g, s] {
-          const int w = pool_.CurrentWorkerIndex();
-          NMRS_CHECK_GE(w, 0);
-          ReplicaSet& rset = *replica_sets_[s];
-          DiskView* view = rset.view(w, 0);
+        submit(s, [&, g, s](int w) {
+          const ReplicaSet& rset = *replica_sets_[s];
           const size_t lo = g * group_size;
           const size_t hi = std::min(num_queries, lo + group_size);
-          RSOptions rs = make_rs(s);
-          const StoredDataset& shard = sharded_->shard(s);
-          StoredDataset shard_data(view, shard.file(), shard.schema(),
-                                   shard.num_rows(), shard.checksum_pages());
           const std::vector<Object> group(queries.begin() + lo,
                                           queries.begin() + hi);
-          SharedScanStats ss;
-          const IoStats before = rset.WorkerStats(w);
-          auto res = SharedScanReverseSkylines(
-              shard_data, *space_, group, rs,
-              /*ring_order=*/algo_ == Algorithm::kSRS, &ss);
-          double modeled = ss.shared_millis + ss.modeled_backoff_millis +
-                           IoCostModel{}.EstimateMillis(ss.shared_io);
-          if (res.ok()) {
-            for (size_t q = lo; q < hi; ++q) {
-              local[q][s] = std::move((*res)[q - lo]);
-              if (S > 1) {
-                // Export: one scan collecting the survivors' row data —
-                // the payload the shard would put on the wire.
-                view->InvalidateArmPosition();
-                const IoStats before_collect = rset.WorkerStats(w);
-                PagedReader creader(view, rs.buffer_pool,
-                                    MakeReaderOptions(rs));
-                cand[q][s].Clear();
-                Status cs = CollectRowsById(shard_data, &creader,
-                                            local[q][s].rows, &cand[q][s]);
-                IoStats collect_io = rset.WorkerStats(w) - before_collect;
-                creader.FoldStatsInto(&collect_io);
-                local[q][s].stats.io += collect_io;
-                local[q][s].stats.modeled_backoff_millis +=
-                    creader.modeled_backoff_millis();
-                if (!cs.ok()) local_status[q][s] = cs;
-              }
-              total_io.Add(local[q][s].stats.io);
-              modeled += local[q][s].stats.ResponseMillis();
-            }
-            total_io.Add(ss.shared_io);
-            shared_io.Add(ss.shared_io);
-            shared_batches.fetch_add(ss.shared_batches,
-                                     std::memory_order_relaxed);
-            shared_groups.fetch_add(1, std::memory_order_relaxed);
-          } else {
+          double modeled = 0;
+          IoStats partial;
+          const Status st = RunShardTask(
+              s, w, Stream(lo, s), make_rs(s),
+              [&](const StoredDataset& shard, const RSOptions& rs) {
+                SharedScanStats ss;
+                const IoStats before = rset.WorkerStats(w);
+                auto res = SharedScanReverseSkylines(
+                    shard, *space_, group, rs,
+                    /*ring_order=*/algo_ == Algorithm::kSRS, &ss);
+                if (!res.ok()) {
+                  partial = rset.WorkerStats(w) - before;
+                  return res.status();
+                }
+                modeled = ss.shared_millis + ss.modeled_backoff_millis +
+                          IoCostModel{}.EstimateMillis(ss.shared_io);
+                for (size_t q = lo; q < hi; ++q) {
+                  local[q][s] = std::move((*res)[q - lo]);
+                  if (S > 1) {
+                    Status cs = ExportCandidates(shard, rset, w, rs,
+                                                 &local[q][s], &cand[q][s]);
+                    if (!cs.ok()) local_status[q][s] = cs;
+                  }
+                  total_io.Add(local[q][s].stats.io);
+                  modeled += local[q][s].stats.ResponseMillis();
+                }
+                total_io.Add(ss.shared_io);
+                shared_io.Add(ss.shared_io);
+                shared_batches.fetch_add(ss.shared_batches,
+                                         std::memory_order_relaxed);
+                shared_groups.fetch_add(1, std::memory_order_relaxed);
+                return Status::OK();
+              },
+              &retried);
+          if (!st.ok()) {
             // The whole group dies together (the shared pass is one run);
             // charge its partial IO to the batch, unattributed per query.
-            for (size_t q = lo; q < hi; ++q) {
-              local_status[q][s] = res.status();
-            }
-            const IoStats partial = rset.WorkerStats(w) - before;
+            for (size_t q = lo; q < hi; ++q) local_status[q][s] = st;
             total_io.Add(partial);
             modeled = IoCostModel{}.EstimateMillis(partial);
           }
-          batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-              modeled;
-          note_task(s, modeled);
-          wg.Done();
+          return modeled;
         });
       }
     }
@@ -298,106 +372,42 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
     batch.shared_scan_batches = shared_batches.load(std::memory_order_relaxed);
     batch.shared_scan_groups = shared_groups.load(std::memory_order_relaxed);
   } else {
-    wg.Add(static_cast<int>(num_queries * active.size()));
+    const PreparedDataset& base = sharded_->base();
     for (size_t q = 0; q < num_queries; ++q) {
       for (int s : active) {
-        pool_.Submit([&, q, s] {
-          const int w = pool_.CurrentWorkerIndex();
-          NMRS_CHECK_GE(w, 0);
-          ReplicaSet& rset = *replica_sets_[s];
-          const int num_replicas = rset.num_replicas();
-          DiskView* view = rset.view(w, 0);
-          // With fault injection on, this task reads through its own
-          // FaultyDisk per replica whose stream is fixed by (query, shard),
-          // not by which worker runs it. The fault ceiling restricts
-          // injection to the frozen base and shard files: scratch-file ids
-          // are assigned in execution order, so faulting them would
-          // reintroduce a scheduling dependence.
-          std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-          std::vector<SimulatedDisk*> disks =
-              rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
-          SimulatedDisk* qdisk = disks[0];
-          // Failover replica views persist across the tasks this worker
-          // runs, so reset their disk arms: within a task the failover read
-          // sequence is then fixed, making its seq/rand IO split independent
-          // of which tasks ran earlier on this worker.
-          for (int r = 1; r < num_replicas; ++r) {
-            rset.view(w, r)->InvalidateArmPosition();
-          }
-
-          RSOptions rs = make_rs(s);
-          if (num_replicas > 1) {
-            rs.failover_disks.assign(disks.begin() + 1, disks.end());
-            rs.failover_limit = fault_ceiling_;
-          }
-
-          const StoredDataset& shard = sharded_->shard(s);
-          const int attempts = 1 + std::max(0, opts_.max_query_retries);
-          // Placeholder only: the loop below always runs an attempt.
-          StatusOr<ReverseSkylineResult> result =
-              Status::Internal("shard task never ran");
-          for (int attempt = 0; attempt < attempts; ++attempt) {
-            // Retries re-run on the clean view: no fault wrapper, and no
-            // failover disks either (the clean view cannot fail).
-            SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
-            if (attempt == 1) {
-              rs.failover_disks.clear();
-              rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-            }
-            // Re-wrap the shard over this attempt's disk: the file id and
-            // layout are the base disk's, the IO accounting (and any
-            // injected faults) are this disk's.
-            PreparedDataset shard_prep{
-                StoredDataset(attempt_disk, shard.file(), shard.schema(),
-                              shard.num_rows(), shard.checksum_pages()),
-                sharded_->base().attr_order,
-                sharded_->base().prepare_millis};
-            const IoStats before = rset.WorkerStats(w);
-            result =
-                RunReverseSkyline(shard_prep, *space_, queries[q], algo_, rs);
-            if (result.ok() && S > 1) {
-              // Export: collect the surviving candidates' row data through
-              // the same (possibly faulty, failover-backed) disk — a real
-              // shard re-reads rows to serialize them, and may fail doing
-              // so, which counts as a failed attempt like any other.
-              attempt_disk->InvalidateArmPosition();
-              const IoStats before_collect = rset.WorkerStats(w);
-              PagedReader creader(attempt_disk, rs.buffer_pool,
-                                  MakeReaderOptions(rs));
-              cand[q][s].Clear();
-              Status cs = CollectRowsById(shard_prep.stored, &creader,
-                                          result->rows, &cand[q][s]);
-              IoStats collect_io = rset.WorkerStats(w) - before_collect;
-              creader.FoldStatsInto(&collect_io);
-              result->stats.io += collect_io;
-              result->stats.modeled_backoff_millis +=
-                  creader.modeled_backoff_millis();
-              if (!cs.ok()) result = cs;
-            }
-            if (result.ok()) {
-              if (attempt > 0) retried.fetch_add(1, std::memory_order_relaxed);
-              break;
-            }
-            // Keep the dead run's partial IO (worker-wide: failover reads
-            // landed on this worker's other replica views too). A later
-            // successful attempt overwrites it, so a recovered task reports
-            // the stats of the attempt that produced the answer.
-            ReverseSkylineResult partial;
-            partial.stats.io = rset.WorkerStats(w) - before;
-            local[q][s] = std::move(partial);
-            if (!result.status().IsStorageFault()) break;
-          }
-
-          if (result.ok()) {
-            local[q][s] = std::move(*result);
-          } else {
-            local_status[q][s] = result.status();
-          }
-          total_io.Add(local[q][s].stats.io);
-          batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-              local[q][s].stats.ResponseMillis();
-          note_task(s, local[q][s].stats.ResponseMillis());
-          wg.Done();
+        submit(s, [&, q, s](int w) {
+          const ReplicaSet& rset = *replica_sets_[s];
+          ReverseSkylineResult& out = local[q][s];
+          const Status st = RunShardTask(
+              s, w, Stream(q, s), make_rs(s),
+              [&](const StoredDataset& shard, const RSOptions& rs) {
+                const PreparedDataset shard_prep{shard, base.attr_order,
+                                                 base.prepare_millis};
+                const IoStats before = rset.WorkerStats(w);
+                StatusOr<ReverseSkylineResult> result = RunReverseSkyline(
+                    shard_prep, *space_, queries[q], algo_, rs);
+                Status rst = result.status();
+                if (rst.ok() && S > 1) {
+                  rst = ExportCandidates(shard, rset, w, rs, &*result,
+                                         &cand[q][s]);
+                }
+                if (rst.ok()) {
+                  out = std::move(*result);
+                } else {
+                  // Keep the dead run's partial IO (worker-wide: failover
+                  // reads landed on this worker's other replica views
+                  // too). A later successful attempt overwrites it, so a
+                  // recovered task reports the stats of the attempt that
+                  // produced the answer.
+                  out = ReverseSkylineResult{};
+                  out.stats.io = rset.WorkerStats(w) - before;
+                }
+                return rst;
+              },
+              &retried);
+          if (!st.ok()) local_status[q][s] = st;
+          total_io.Add(out.stats.io);
+          return out.stats.ResponseMillis();
         });
       }
     }
@@ -456,27 +466,8 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
       if (!batch.statuses[q].ok()) continue;
       for (int s : active) {
         if (foreign_count[q][s] == 0) continue;
-        wg.Add(1);
-        pool_.Submit([&, q, s] {
-          const int w = pool_.CurrentWorkerIndex();
-          NMRS_CHECK_GE(w, 0);
-          ReplicaSet& rset = *replica_sets_[s];
-          const int num_replicas = rset.num_replicas();
-          DiskView* view = rset.view(w, 0);
-          std::vector<std::unique_ptr<FaultyDisk>> wrappers;
-          std::vector<SimulatedDisk*> disks =
-              rset.MakeQueryDisks(w, Stream(q, s), &wrappers);
-          SimulatedDisk* qdisk = disks[0];
-          for (int r = 1; r < num_replicas; ++r) {
-            rset.view(w, r)->InvalidateArmPosition();
-          }
-
-          RSOptions rs = make_rs(s);
-          if (num_replicas > 1) {
-            rs.failover_disks.assign(disks.begin() + 1, disks.end());
-            rs.failover_limit = fault_ceiling_;
-          }
-
+        submit(s, [&, q, s](int w) {
+          const ReplicaSet& rset = *replica_sets_[s];
           // The merged broadcast, minus this shard's own candidates (it
           // already refined those in its local phase 2), concatenated in
           // shard order — the positional contract of the verdict bitmap.
@@ -488,48 +479,31 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
               foreign.Append(c.id(i), c.row_values(i), c.row_numerics(i));
             }
           }
-
-          const StoredDataset& shard = sharded_->shard(s);
-          const int attempts = 1 + std::max(0, opts_.max_query_retries);
-          Status vstatus = Status::OK();
-          for (int attempt = 0; attempt < attempts; ++attempt) {
-            SimulatedDisk* attempt_disk = attempt == 0 ? qdisk : view;
-            if (attempt == 1) {
-              rs.failover_disks.clear();
-              rs.failover_limit = PagedReaderOptions::kNoFailoverLimit;
-            }
-            StoredDataset shard_data(attempt_disk, shard.file(),
-                                     shard.schema(), shard.num_rows(),
-                                     shard.checksum_pages());
-            attempt_disk->InvalidateArmPosition();
-            const IoStats before = rset.WorkerStats(w);
-            PagedReader reader(attempt_disk, rs.buffer_pool,
-                               MakeReaderOptions(rs));
-            QueryStats vs;
-            Timer verify_timer;
-            vstatus = PruneCandidatesAgainstShard(shard_data, *space_,
-                                                  queries[q], foreign, rs,
-                                                  &reader, &verdicts[q][s],
-                                                  &vs);
-            vs.phase2_checks = vs.checks;
-            vs.io = rset.WorkerStats(w) - before;
-            reader.FoldStatsInto(&vs.io);
-            vs.modeled_backoff_millis = reader.modeled_backoff_millis();
-            vs.compute_millis = verify_timer.ElapsedMillis();
-            vs.phase2_millis = vs.compute_millis;
-            verify_stats[q][s] = vs;
-            if (vstatus.ok()) {
-              if (attempt > 0) retried.fetch_add(1, std::memory_order_relaxed);
-              break;
-            }
-            if (!vstatus.IsStorageFault()) break;
-          }
-          if (!vstatus.ok()) local_status[q][s] = vstatus;
-          total_io.Add(verify_stats[q][s].io);
-          batch.shard_worker_modeled_millis[s][static_cast<size_t>(w)] +=
-              verify_stats[q][s].ResponseMillis();
-          note_task(s, verify_stats[q][s].ResponseMillis());
-          wg.Done();
+          QueryStats& vs = verify_stats[q][s];
+          const Status st = RunShardTask(
+              s, w, Stream(q, s), make_rs(s),
+              [&](const StoredDataset& shard, const RSOptions& rs) {
+                shard.disk()->InvalidateArmPosition();
+                const IoStats before = rset.WorkerStats(w);
+                PagedReader reader(shard.disk(), rs.buffer_pool,
+                                   MakeReaderOptions(rs));
+                vs = QueryStats{};
+                Timer verify_timer;
+                Status vst = PruneCandidatesAgainstShard(
+                    shard, *space_, queries[q], foreign, rs, &reader,
+                    &verdicts[q][s], &vs);
+                vs.phase2_checks = vs.checks;
+                vs.io = rset.WorkerStats(w) - before;
+                reader.FoldStatsInto(&vs.io);
+                vs.modeled_backoff_millis = reader.modeled_backoff_millis();
+                vs.compute_millis = verify_timer.ElapsedMillis();
+                vs.phase2_millis = vs.compute_millis;
+                return vst;
+              },
+              &retried);
+          if (!st.ok()) local_status[q][s] = st;
+          total_io.Add(vs.io);
+          return vs.ResponseMillis();
         });
       }
     }
@@ -540,6 +514,10 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
   // home shard AND no other shard's verdict pruned it. Rows come out
   // sorted ascending, exactly as every single-shard algorithm emits them.
   // ----
+  // start[t][s]: where shard s's candidates begin in shard t's foreign
+  // concat (the candidates of the shards before s, skipping t itself).
+  std::vector<std::vector<size_t>> start(
+      static_cast<size_t>(S), std::vector<size_t>(static_cast<size_t>(S), 0));
   for (size_t q = 0; q < num_queries; ++q) {
     // Verify failures surface after the exchange loop above.
     for (int s : active) {
@@ -568,22 +546,21 @@ StatusOr<ShardedBatchResult> ShardedQueryEngine::RunBatch(
       continue;
     }
 
+    for (int t : active) {
+      size_t offset = 0;
+      for (int u : active) {
+        if (u == t) continue;
+        start[t][u] = offset;
+        offset += cand[q][u].size();
+      }
+    }
     std::vector<RowId> rows;
     for (int s : active) {
       const RowBatch& own = cand[q][s];
       for (size_t i = 0; i < own.size(); ++i) {
         bool alive = true;
         for (int t : active) {
-          if (t == s) continue;
-          // Position of (s, i) in t's foreign concat: candidates of shards
-          // before s (skipping t itself), then i.
-          size_t offset = 0;
-          for (int u : active) {
-            if (u == s) break;
-            if (u == t) continue;
-            offset += cand[q][u].size();
-          }
-          if (verdicts[q][t][offset + i] != 0) {
+          if (t != s && verdicts[q][t][start[t][s] + i] != 0) {
             alive = false;
             break;
           }

@@ -1,8 +1,10 @@
 #ifndef NMRS_EXEC_SHARDED_ENGINE_H_
 #define NMRS_EXEC_SHARDED_ENGINE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -257,6 +259,23 @@ class ShardedQueryEngine {
     return static_cast<uint64_t>(query) +
            (static_cast<uint64_t>(shard) << 32);
   }
+
+  /// One attempt of a shard task: the shard's rows re-wrapped over the
+  /// attempt's disk, and the options that attempt reads under.
+  using ShardTaskBody =
+      std::function<Status(const StoredDataset& shard, const RSOptions& rs)>;
+
+  /// The one runner every (query, shard) task goes through — scatter runs,
+  /// shared-scan groups and exchange verify passes. Builds the task's disks
+  /// on worker w's views of shard s under fault stream `stream`, resets the
+  /// failover replicas' arms, wires failover into `rs`, and runs `body`;
+  /// a storage fault re-runs it on the clean view (no fault wrapper, no
+  /// failover) up to EngineOptions::max_query_retries times, counting a
+  /// recovery in *retried. Each body keeps its own IO and stats accounting.
+  /// Returns the last attempt's status.
+  Status RunShardTask(int s, int w, uint64_t stream, RSOptions rs,
+                      const ShardTaskBody& body,
+                      std::atomic<uint64_t>* retried) const;
 
   const ShardedDataset* sharded_;
   const SimilaritySpace* space_;

@@ -187,6 +187,22 @@ TEST(ShardedDeterminismTest, SharedScanMatchesPerQueryExecution) {
     ExpectSameRows(got, want, "shared_scan shards=" + std::to_string(shards));
     EXPECT_GT(got.shared_scan_groups, 0u);
     EXPECT_EQ(got.total_messages, want.total_messages);
+    if (shards == 1) continue;
+    // Both scatter paths export through the same helper: per-query work,
+    // exported candidate counts and the IO ledger must agree.
+    IoStats io_sum = got.shared_io;
+    for (size_t q = 0; q < got.results.size(); ++q) {
+      EXPECT_EQ(got.results[q].stats.checks, want.results[q].stats.checks)
+          << "query " << q;
+      EXPECT_EQ(got.results[q].stats.pair_tests,
+                want.results[q].stats.pair_tests)
+          << "query " << q;
+      EXPECT_EQ(got.breakdown[q].shard_candidates,
+                want.breakdown[q].shard_candidates)
+          << "query " << q;
+      io_sum += got.results[q].stats.io;
+    }
+    EXPECT_EQ(io_sum, got.total_io);
   }
 }
 
@@ -308,7 +324,9 @@ TEST(ShardedDeterminismTest, MessageLedgerIsConsistent) {
   MessageStats sum;
   for (const ShardQueryBreakdown& b : got.breakdown) {
     // 3 rounds whenever the exchange ran for this query.
-    if (b.messages.messages > 0) EXPECT_EQ(b.messages.rounds, 3u);
+    if (b.messages.messages > 0) {
+      EXPECT_EQ(b.messages.rounds, 3u);
+    }
     sum += b.messages;
   }
   EXPECT_EQ(sum, got.total_messages);

@@ -334,30 +334,36 @@ void StressIntraQueryBatch() {
   NMRS_CHECK(prepared.ok()) << prepared.status();
   const ShardedDataset one = ShardedDataset::Partition(*prepared, {}).value();
 
-  ShardedBatchResult reference;
-  bool have_reference = false;
-  for (size_t workers : {1u, 8u}) {
-    EngineOptions opts;
-    opts.num_workers = workers;
-    opts.rs.memory = MemoryBudget{2};
-    opts.rs.num_threads = workers > 1 ? 2 : 1;
-    ShardedQueryEngine engine(one, space, Algorithm::kTRS, opts);
-    auto batch = engine.RunBatch(queries);
-    NMRS_CHECK(batch.ok()) << batch.status();
-    if (!have_reference) {
-      reference = std::move(*batch);
-      have_reference = true;
-      continue;
+  // Kernels on runs the chunked TRS probe: per-chunk kernels over the
+  // batch's shared leaf block, each chunk on a private tree copy.
+  for (bool use_kernels : {false, true}) {
+    ShardedBatchResult reference;
+    bool have_reference = false;
+    for (size_t workers : {1u, 8u}) {
+      EngineOptions opts;
+      opts.num_workers = workers;
+      opts.rs.memory = MemoryBudget{2};
+      opts.rs.num_threads = workers > 1 ? 2 : 1;
+      opts.rs.use_kernels = use_kernels;
+      ShardedQueryEngine engine(one, space, Algorithm::kTRS, opts);
+      auto batch = engine.RunBatch(queries);
+      NMRS_CHECK(batch.ok()) << batch.status();
+      if (!have_reference) {
+        reference = std::move(*batch);
+        have_reference = true;
+        continue;
+      }
+      NMRS_CHECK(batch->total_io == reference.total_io);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        NMRS_CHECK(batch->results[i].rows == reference.results[i].rows);
+        NMRS_CHECK(batch->results[i].stats.io ==
+                   reference.results[i].stats.io);
+      }
     }
-    NMRS_CHECK(batch->total_io == reference.total_io);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      NMRS_CHECK(batch->results[i].rows == reference.results[i].rows);
-      NMRS_CHECK(batch->results[i].stats.io == reference.results[i].stats.io);
-    }
+    std::printf("intra-query batch (kernels %s): %zu queries identical "
+                "across worker counts\n",
+                use_kernels ? "on" : "off", queries.size());
   }
-  std::printf("intra-query batch: %zu queries identical across worker "
-              "counts\n",
-              queries.size());
 }
 
 // The fault path under contention: 8 workers share the batch quarantine
